@@ -1,8 +1,10 @@
 """Exhaustive classification of Pauli pairs and triples at one dimension.
 
 The classifier enumerates every normalized exponent set {identity, v} or
-{identity, v1, v2} as a packed integer, applies the full move list as
-vectorized image maps, and takes connected components:
+{identity, v1, v2} as a packed integer and evaluates the full move list
+vectorized.  A move is stored as its arrows only, the int32 pairs
+(state, image) with image != state, and a move that applies on a subset
+of states is evaluated on that subset alone.  The move list is:
 
 * the symplectic generators P and R, which generate every
   determinant-one exponent map mod d;
@@ -13,7 +15,9 @@ vectorized image maps, and takes connected components:
 * the two bracket rewrites on a shear residue, linking states whose
   residues lie in one fractional-linear orbit.
 
-Components are then labeled with exact invariants.  Because the
+Connected components come from min-label hooking with pointer jumping over
+all arrows at once, and each class is keyed by its least state.  The
+components are then labeled with exact invariants.  Because the
 invariants never change under true equivalence and the moves never merge
 inequivalent sets, singleton invariant cells prove the class count
 correct; equal-invariant components are separated, where possible, by the
@@ -182,7 +186,7 @@ def formula_for(d: int, mode: str) -> CountFormula | None:
 
 def _vp_table(d: int, p: int, alpha: int) -> np.ndarray:
     """Valuation of each residue 0..d-1, with alpha standing in for 0."""
-    table = np.full(d, alpha, dtype=np.int64)
+    table = np.full(d, alpha, dtype=np.int8)
     for x in range(1, d):
         v, y = 0, x
         while y % p == 0:
@@ -192,41 +196,48 @@ def _vp_table(d: int, p: int, alpha: int) -> np.ndarray:
     return table
 
 
-def _pairs_moves(d: int) -> list[tuple[str, np.ndarray]]:
-    m = np.arange(d * d, dtype=np.int64)
+Arrows = tuple[str, np.ndarray, np.ndarray]
+"""One move as (label, src, dst): its non-fixed arrows, int32, src != dst."""
+
+
+def _arrows(label: str, src: np.ndarray, dst: np.ndarray) -> Arrows:
+    moved = dst != src
+    return label, src[moved].astype(np.int32), dst[moved].astype(np.int32)
+
+
+def _pairs_moves(d: int) -> list[Arrows]:
+    m = np.arange(d * d, dtype=np.int32)
     s, t = m // d, m % d
 
-    def pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a % d) * d + (b % d)
+    def emit(label: str, a: np.ndarray, b: np.ndarray) -> Arrows:
+        return _arrows(label, m, (a % d) * d + (b % d))
 
     return [
-        ("P", pack(s, s + t)),
-        ("R", pack(-t, s)),
-        ("PIVOT(1)", pack(-s, -t)),
+        emit("P", s, s + t),
+        emit("R", -t, s),
+        emit("PIVOT(1)", -s, -t),
     ]
 
 
 def _triples_moves(
     d: int, M1: np.ndarray, M2: np.ndarray, slot: np.ndarray
-) -> list[tuple[str, np.ndarray]]:
+) -> list[Arrows]:
+    """Every move as arrows; a masked move is evaluated on its states only."""
     n2 = d * d
     S1, T1 = M1 // d, M1 % d
     S2, T2 = M2 // d, M2 % d
     idx = np.arange(M1.shape[0], dtype=np.int64)
 
-    def emit(a1, b1, a2, b2, mask=None) -> np.ndarray:
+    def emit(label, src, a1, b1, a2, b2) -> Arrows:
         u1 = (a1 % d) * d + (b1 % d)
         u2 = (a2 % d) * d + (b2 % d)
-        img = slot[np.minimum(u1, u2) * n2 + np.maximum(u1, u2)]
-        if mask is not None:
-            img = np.where(mask, img, idx)
-        return img
+        return _arrows(label, src, slot[np.minimum(u1, u2) * n2 + np.maximum(u1, u2)])
 
     moves = [
-        ("P", emit(S1, S1 + T1, S2, S2 + T2)),
-        ("R", emit(-T1, S1, -T2, S2)),
-        ("PIVOT(1)", emit(-S1, -T1, S2 - S1, T2 - T1)),
-        ("PIVOT(2)", emit(S1 - S2, T1 - T2, -S2, -T2)),
+        emit("P", idx, S1, S1 + T1, S2, S2 + T2),
+        emit("R", idx, -T1, S1, -T2, S2),
+        emit("PIVOT(1)", idx, -S1, -T1, S2 - S1, T2 - T1),
+        emit("PIVOT(2)", idx, S1 - S2, T1 - T2, -S2, -T2),
     ]
 
     pa = prime_power(d)
@@ -235,92 +246,113 @@ def _triples_moves(
     p, alpha = pa
     if alpha == 1:
         return moves
+    # p^k divides x exactly when vp[x] >= k, as vp[0] = alpha
     vp = _vp_table(d, p, alpha)
+    vs1, vt1, vs2, vt2 = vp[S1], vp[T1], vp[S2], vp[T2]
 
     for s in range(1, alpha):
-        ps = p**s
         for t in range(alpha - s):
-            pt = p**t
-            lat = (S1 % pt == 0) & (T1 % ps == 0) & (S2 % pt == 0) & (T2 % ps == 0)
-            for k in range(1, ps):
+            lat = np.flatnonzero((vs1 >= t) & (vt1 >= s) & (vs2 >= t) & (vt2 >= s))
+            s1, t1, s2, t2 = S1[lat], T1[lat], S2[lat], T2[lat]
+            for k in range(1, p**s):
                 u = (k * p ** (alpha - s - t) + 1) % d
-                moves.append(
-                    (f"W({s},{t},{k})", emit(S1 * u, T1, S2 * u, T2, lat))
-                )
+                moves.append(emit(f"W({s},{t},{k})", lat, s1 * u, t1, s2 * u, t2))
 
-    vpx = vp[S2]
-    xsplit = p ** np.minimum(vpx, alpha - 1)
     for s in range(alpha):
         ps = p**s
-        base = (M1 == ps) & (S2 != 0)
-        chain = base & (T2 % ps == 0)
-        deep = chain & (s + vpx >= alpha)
-        moves.append(("RULE(x3-split)", emit(S1, T1, xsplit, T2, deep & (T2 == 0))))
-        moves.append(("RULE(xz3-split)", emit(S1, T1, xsplit, T2, deep & (T2 != 0))))
+        chain = np.flatnonzero((M1 == ps) & (S2 != 0) & (vt2 >= s))
+        s1, t1, s2, t2 = S1[chain], T1[chain], S2[chain], T2[chain]
+
+        def rule(name: str, keep: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> None:
+            """Rewrite the third member of the chain states selected by keep."""
+            moves.append(emit(f"RULE({name})", chain[keep], s1[keep], t1[keep],
+                              a2[keep], b2[keep]))
+
+        deep = s + vs2[chain] >= alpha
+        xsplit = p ** np.minimum(vs2[chain], alpha - 1).astype(np.int64)
+        rule("x3-split", deep & (t2 == 0), xsplit, t2)
+        rule("xz3-split", deep & (t2 != 0), xsplit, t2)
 
         m = p ** (alpha - s)
         invt = np.zeros(m, dtype=np.int64)
         for x in range(1, m):
             if x % p:
                 invt[x] = pow(x, -1, m)
-        tp = np.where(chain, T2 // ps, 0)
-        unit = chain & (tp % p != 0)
-        moves.append(("RULE(xz3-residue-invert)", emit(S1, T1, -S2, ps * invt[tp], unit)))
+        tp = t2 // ps
+        rule("xz3-residue-invert", tp % p != 0, -s2, ps * invt[tp])
         one = (1 - tp) % m
-        flip = chain & (one % p != 0)
-        moves.append(("RULE(xz3-residue-flip-invert)", emit(S1, T1, S2, ps * invt[one], flip)))
+        rule("xz3-residue-flip-invert", one % p != 0, s2, ps * invt[one])
 
     return moves
 
 
-def _union_components(n: int, moves: list[tuple[str, np.ndarray]]) -> np.ndarray:
-    """Connected components; each state's root is its component's least index."""
-    parent = list(range(n))
+def _components(n: int, moves: list[Arrows]) -> np.ndarray:
+    """Connected components; each state's root is its component's least index.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Min-label hooking with pointer jumping (Shiloach and Vishkin,
+    J. Algorithms 3, 1982).  Every root is the least index of its tree, so
+    parent[i] <= i throughout.  Each round hooks the larger end of every
+    edge, a root, onto the smaller one; flattens every tree to depth one;
+    and replaces each edge by the roots of its ends, dropping the edges
+    whose ends now share a root.
+    """
+    parent = np.arange(n, dtype=np.int32)
+    lo = np.concatenate([np.empty(0, np.int32), *(np.minimum(a, b) for _, a, b in moves)])
+    hi = np.concatenate([np.empty(0, np.int32), *(np.maximum(a, b) for _, a, b in moves)])
+    while lo.size:
+        np.minimum.at(parent, hi, lo)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        lo = parent[lo]
+        hi = parent[hi]
+        live = lo != hi
+        lo, hi = lo[live], hi[live]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    return parent
 
-    for _, img in moves:
-        for i, j in enumerate(img.tolist()):
-            if j == i:
-                continue
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                continue
-            if ri < rj:
-                parent[rj] = ri
-            else:
-                parent[ri] = rj
-    return np.fromiter((find(i) for i in range(n)), dtype=np.int64, count=n)
+
+def _classes(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class roots in ascending order, and each state's class index."""
+    is_root = roots == np.arange(roots.shape[0])
+    return np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[roots]
+
+
+def _last_states(inverse: np.ndarray, count: int) -> np.ndarray:
+    """The largest state index in each class."""
+    last = np.zeros(count, dtype=np.int64)
+    np.maximum.at(last, inverse, np.arange(inverse.shape[0]))
+    return last
 
 
 _PAIR_STATE: dict[int, tuple] = {}
 _TRIPLE_STATE: dict[int, tuple] = {}
 
 
-def _pairs_state(d: int) -> tuple[list[tuple[str, np.ndarray]], np.ndarray]:
+def _pairs_state(d: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
+    """Moves, class roots and per-state class index of the pairs universe."""
     if d not in _PAIR_STATE:
         moves = _pairs_moves(d)
-        _PAIR_STATE[d] = (moves, _union_components(d * d, moves))
+        _PAIR_STATE[d] = (moves, *_classes(_components(d * d, moves)))
     return _PAIR_STATE[d]
 
 
 def _triples_state(
     d: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[str, np.ndarray]], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Arrows], np.ndarray, np.ndarray]:
+    """Members, slot table, moves, class roots and class index of the triples."""
     if d not in _TRIPLE_STATE:
         n2 = d * d
         i, j = np.triu_indices(n2 - 1, k=1)
         M1 = (i + 1).astype(np.int64)
         M2 = (j + 1).astype(np.int64)
-        slot = np.full(n2 * n2, -1, dtype=np.int64)
+        slot = np.full(n2 * n2, -1, dtype=np.int32)
         slot[M1 * n2 + M2] = np.arange(M1.shape[0])
         moves = _triples_moves(d, M1, M2, slot)
-        roots = _union_components(M1.shape[0], moves)
-        _TRIPLE_STATE[d] = (M1, M2, slot, moves, roots)
+        roots = _components(M1.shape[0], moves)
+        _TRIPLE_STATE[d] = (M1, M2, slot, moves, *_classes(roots))
     return _TRIPLE_STATE[d]
 
 
@@ -338,10 +370,14 @@ def _check_dim(d: int, mode: str, enum_cap: int) -> None:
 
 
 def _witness_tables(
-    n: int, moves: list[tuple[str, np.ndarray]], rep_slots: np.ndarray
+    n: int, moves: list[Arrows], rep_slots: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per state: BFS distance to its class representative, plus one step."""
-    idx = np.arange(n, dtype=np.int64)
+    """Per state: BFS distance to its class representative, plus one step.
+
+    Each level visits the moves in list order, and a state takes the first
+    arrow that reaches the previous level, so every witness is fixed by
+    the move order.
+    """
     dist = np.full(n, -1, dtype=np.int64)
     nxt = np.full(n, -1, dtype=np.int64)
     lab = np.full(n, -1, dtype=np.int64)
@@ -349,12 +385,13 @@ def _witness_tables(
     level = 0
     while True:
         changed = False
-        for li, (_, img) in enumerate(moves):
-            hit = (dist == -1) & (img != idx) & (dist[img] == level)
+        for li, (_, src, dst) in enumerate(moves):
+            hit = (dist[src] == -1) & (dist[dst] == level)
             if hit.any():
-                dist[hit] = level + 1
-                nxt[hit] = img[hit]
-                lab[hit] = li
+                states = src[hit]
+                dist[states] = level + 1
+                nxt[states] = dst[hit]
+                lab[states] = li
                 changed = True
         if not changed:
             return dist, nxt, lab
@@ -364,7 +401,7 @@ def _witness_tables(
 def _walk_witness(
     start: int,
     rep: int,
-    moves: list[tuple[str, np.ndarray]],
+    moves: list[Arrows],
     tables: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> list[str] | None:
     dist, nxt, lab = tables
@@ -575,6 +612,22 @@ def _invariant_cells(reps: list[GpmSet], ivs: list[InvariantVector]) -> list[lis
     return cells
 
 
+def _triples_expectation(d: int) -> tuple[int | None, str | None]:
+    """The closed-form triple count at d, or None with a note saying why not.
+
+    The note is None when no formula applies; it is set when a formula is
+    selected but cannot be evaluated there (TRIPLES_PALPHA is not integral
+    at some alpha), which leaves the classification PARTIAL.
+    """
+    formula = formula_for(d, "triples")
+    if formula is None:
+        return None, None
+    try:
+        return expected_count(formula), None
+    except OutOfDomain as exc:
+        return None, f"closed form {formula.kind}{formula.params} not evaluated: {exc}"
+
+
 def enumerate_pairs(
     d: int,
     emit_witnesses: bool = False,
@@ -584,9 +637,7 @@ def enumerate_pairs(
 ) -> Classification:
     """Classify all pairs {identity, X^s Z^t} at dimension d."""
     _check_dim(d, "pairs", enum_cap)
-    moves, roots = _pairs_state(d)
-    class_roots = np.unique(roots)
-    inverse = np.searchsorted(class_roots, roots)
+    moves, class_roots, inverse = _pairs_state(d)
     sizes = np.bincount(inverse)
 
     reps = [
@@ -604,9 +655,9 @@ def enumerate_pairs(
     witnesses: list[list[str] | None] = [None] * len(reps)
     if emit_witnesses:
         tables = _witness_tables(d * d, moves, class_roots)
+        starts = _last_states(inverse, len(reps)).tolist()
         for ci, r in enumerate(class_roots.tolist()):
-            target = int(np.max(np.where(roots == r)[0]))
-            witnesses[ci] = _walk_witness(target, r, moves, tables)
+            witnesses[ci] = _walk_witness(starts[ci], r, moves, tables)
 
     expected = expected_count(CountFormula("PAIRS", (d,)))
     notes: list[str] = []
@@ -636,9 +687,7 @@ def enumerate_triples(
 ) -> Classification:
     """Classify all triples {identity, v1, v2} at dimension d."""
     _check_dim(d, "triples", enum_cap)
-    M1, M2, slot, moves, roots = _triples_state(d)
-    class_roots = np.unique(roots)
-    inverse = np.searchsorted(class_roots, roots)
+    M1, M2, slot, moves, class_roots, inverse = _triples_state(d)
     sizes = np.bincount(inverse)
     C = len(class_roots)
 
@@ -685,14 +734,15 @@ def enumerate_triples(
     witnesses: list[list[str] | None] = [None] * C
     if emit_witnesses:
         tables = _witness_tables(M1.shape[0], moves, class_roots)
+        starts = _last_states(inverse, C).tolist()
         for ci, r in enumerate(class_roots.tolist()):
-            target = int(np.max(np.where(roots == r)[0]))
-            witnesses[ci] = _walk_witness(target, r, moves, tables)
+            witnesses[ci] = _walk_witness(starts[ci], r, moves, tables)
             if witnesses[ci] is None:
                 notes.add(f"no witness path found for class {ci + 1}")
 
-    formula = formula_for(d, "triples")
-    expected = None if formula is None else expected_count(formula)
+    expected, note = _triples_expectation(d)
+    if note is not None:
+        notes.add(note)
     ok = (
         not notes
         and all(s != SEP_UNSEPARATED for s in sep)
@@ -727,15 +777,14 @@ def locate_class(d: int, S: GpmSet, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     members = sorted(S.members)
     if members[0] != (0, 0):
         raise ValueError("locate_class needs the identity as a member")
-    M1, M2, slot, _, roots = _triples_state(d)
+    _, _, slot, _, _, inverse = _triples_state(d)
     n2 = d * d
     m1 = members[1][0] * d + members[1][1]
     m2 = members[2][0] * d + members[2][1]
     i = int(slot[m1 * n2 + m2])
     if i < 0:
         raise ValueError(f"set {S.to_text()!r} is not a valid normalized triple")
-    class_roots = np.unique(roots)
-    return int(np.searchsorted(class_roots, int(roots[i])))
+    return int(inverse[i])
 
 
 def family_breakdown(d: int, enum_cap: int = DEFAULT_ENUM_CAP) -> dict[str, list[int]]:

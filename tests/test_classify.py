@@ -17,6 +17,7 @@ from gbsclass.classify import (
     DimensionTooLarge,
     OutOfDomain,
     CountFormula,
+    _triples_expectation,
     enumerate_pairs,
     enumerate_triples,
     expected_count,
@@ -115,6 +116,25 @@ def test_formula_selection() -> None:
     assert formula_for(16, "triples") == CountFormula("TRIPLES_PALPHA", (2, 4))
     for d in (4, 8, 12, 27, 32):
         assert formula_for(d, "triples") is None
+
+
+def test_triple_expectation_outside_formula_domain_is_a_note() -> None:
+    assert _triples_expectation(16) == (28, None)
+    assert _triples_expectation(12) == (None, None)
+    expected, note = _triples_expectation(64)
+    assert expected is None
+    assert "TRIPLES_PALPHA(2, 6)" in note and "alpha=6" in note
+
+
+def test_unevaluable_formula_leaves_triples_partial(monkeypatch) -> None:
+    import gbsclass.classify as classify
+
+    monkeypatch.setattr(classify, "formula_for",
+                        lambda d, mode: CountFormula("TRIPLES_PALPHA", (2, 6)))
+    rep = enumerate_triples(8)
+    assert rep.expected_count is None
+    assert rep.status == "PARTIAL"
+    assert any("TRIPLES_PALPHA" in n for n in rep.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +298,22 @@ def _largest_member_by_class(d: int) -> dict[int, GpmSet]:
     return {ci: S for ci, (_, S) in last.items()}
 
 
-def test_triple_witnesses_replay() -> None:
-    d = 9
+def _assert_triple_witnesses_replay(d: int) -> None:
     rep = enumerate_triples(d, emit_witnesses=True)
     starters = _largest_member_by_class(d)
     for ci, c in enumerate(rep.classes):
         assert c.witness is not None
         landed = apply_trace(starters[ci], c.witness).normalized()
         assert landed.to_text() == c.representative.to_text()
+
+
+def test_triple_witnesses_replay() -> None:
+    _assert_triple_witnesses_replay(9)
+
+
+def test_triple_witnesses_replay_prime_cube() -> None:
+    # traces at 27 use W moves with t > 0, the split and the residue rules
+    _assert_triple_witnesses_replay(27)
 
 
 def test_pair_witnesses_replay() -> None:
