@@ -17,17 +17,10 @@ from .classify import (
 from .moves import (
     GuardFailed,
     Move,
-    NotInLattice,
     PreconditionViolated,
-    SymplecticMap,
-    apply_map,
     apply_trace,
-    clifford_generator,
-    det_realizability_check,
     parse_move,
-    pivot_move,
     rule_catalog,
-    w_move,
 )
 from .pauli import (
     CosFingerprint,
@@ -35,7 +28,6 @@ from .pauli import (
     GpmSet,
     InvariantVector,
     default_probes,
-    diff_table,
     gpm_dagger,
     gpm_product,
     gpm_trace,

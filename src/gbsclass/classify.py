@@ -1,19 +1,13 @@
 """Exhaustive classification of Pauli pairs and triples at one dimension.
 
 The classifier enumerates every normalized exponent set {identity, v} or
-{identity, v1, v2} as a packed integer and evaluates the full move list
-vectorized.  A move is stored as its arrows only, the int32 pairs
-(state, image) with image != state, and a move that applies on a subset
-of states is evaluated on that subset alone.  The move list is:
-
-* the symplectic generators P and R, which generate every
-  determinant-one exponent map mod d;
-* both pivots (translating a non-identity member onto the identity);
-* on prime powers, every sublattice multiplier move W(s, t, k);
-* the tensor-split collapses, which reduce the unit in front of a
-  maximal-order X-part to 1; and
-* the two bracket rewrites on a shear residue, linking states whose
-  residues lie in one fractional-linear orbit.
+{identity, v1, v2} as a packed integer and evaluates the move list of
+:func:`gbsclass.moves.enumerator_moves` on the whole universe at once:
+P and R, which generate every determinant-one exponent map mod d, the
+pivots, and on triples at prime powers every W(s, t, k) and the four
+rewrite rules.  A move is stored as its arrows only, the int32 pairs
+(state, image) with image != state, and a guarded move is evaluated on
+the states inside its guard alone.
 
 Connected components come from min-label hooking with pointer jumping over
 all arrows at once, and each class is keyed by its least state.  The
@@ -31,13 +25,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .moves import PreconditionViolated
+from .moves import Move, PreconditionViolated, Tables, enumerator_moves, tables
 from .pauli import (
     GpmSet,
     InvariantVector,
@@ -184,16 +178,14 @@ def formula_for(d: int, mode: str) -> CountFormula | None:
 # ---------------------------------------------------------------------------
 
 
-def _vp_table(d: int, p: int, alpha: int) -> np.ndarray:
-    """Valuation of each residue 0..d-1, with alpha standing in for 0."""
-    table = np.full(d, alpha, dtype=np.int8)
-    for x in range(1, d):
-        v, y = 0, x
-        while y % p == 0:
-            y //= p
-            v += 1
-        table[x] = v
-    return table
+def _array_tables(d: int) -> Tables | None:
+    """The move tables at d as numpy arrays, for a whole universe at once."""
+    tab = tables(d)
+    if tab is None:
+        return None
+    return replace(tab, vp=np.array(tab.vp, dtype=np.int8),
+                   pw=np.array(tab.pw, dtype=np.int64),
+                   inv=np.array(tab.inv, dtype=np.int64))
 
 
 Arrows = tuple[str, np.ndarray, np.ndarray]
@@ -207,82 +199,48 @@ def _arrows(label: str, src: np.ndarray, dst: np.ndarray) -> Arrows:
 
 def _pairs_moves(d: int) -> list[Arrows]:
     m = np.arange(d * d, dtype=np.int32)
-    s, t = m // d, m % d
+    universe = [(0, 0), (m // d, m % d)]
 
-    def emit(label: str, a: np.ndarray, b: np.ndarray) -> Arrows:
-        return _arrows(label, m, (a % d) * d + (b % d))
+    def arrows(mv: Move) -> Arrows:
+        _, (a, b) = mv.image(universe)
+        return _arrows(mv.label, m, (a % d) * d + (b % d))
 
-    return [
-        emit("P", s, s + t),
-        emit("R", -t, s),
-        emit("PIVOT(1)", -s, -t),
-    ]
+    return [arrows(mv) for mv in enumerator_moves(d, 2)]
+
+
+def _restrict(members: list, keep: np.ndarray) -> list:
+    """The identity, then the other members at the states keep selects."""
+    return [members[0], *((a[keep], b[keep]) for a, b in members[1:])]
 
 
 def _triples_moves(
     d: int, M1: np.ndarray, M2: np.ndarray, slot: np.ndarray
 ) -> list[Arrows]:
-    """Every move as arrows; a masked move is evaluated on its states only."""
-    n2 = d * d
-    S1, T1 = M1 // d, M1 % d
-    S2, T2 = M2 // d, M2 % d
-    idx = np.arange(M1.shape[0], dtype=np.int64)
+    """Every move as arrows; a guarded move is evaluated on its states only.
 
-    def emit(label, src, a1, b1, a2, b2) -> Arrows:
+    Consecutive moves of one family share their domain guard, which is
+    evaluated once per family.
+    """
+    n2 = d * d
+    universe = [(0, 0), (M1 // d, M1 % d), (M2 // d, M2 % d)]
+
+    def arrows(mv: Move, src: np.ndarray, members: list) -> Arrows:
+        if mv.guard is not None:
+            keep = mv.guard(members)
+            src, members = src[keep], _restrict(members, keep)
+        _, (a1, b1), (a2, b2) = mv.image(members)
         u1 = (a1 % d) * d + (b1 % d)
         u2 = (a2 % d) * d + (b2 % d)
-        return _arrows(label, src, slot[np.minimum(u1, u2) * n2 + np.maximum(u1, u2)])
+        return _arrows(mv.label, src, slot[np.minimum(u1, u2) * n2 + np.maximum(u1, u2)])
 
-    moves = [
-        emit("P", idx, S1, S1 + T1, S2, S2 + T2),
-        emit("R", idx, -T1, S1, -T2, S2),
-        emit("PIVOT(1)", idx, -S1, -T1, S2 - S1, T2 - T1),
-        emit("PIVOT(2)", idx, S1 - S2, T1 - T2, -S2, -T2),
-    ]
-
-    pa = prime_power(d)
-    if pa is None:
-        return moves
-    p, alpha = pa
-    if alpha == 1:
-        return moves
-    # p^k divides x exactly when vp[x] >= k, as vp[0] = alpha
-    vp = _vp_table(d, p, alpha)
-    vs1, vt1, vs2, vt2 = vp[S1], vp[T1], vp[S2], vp[T2]
-
-    for s in range(1, alpha):
-        for t in range(alpha - s):
-            lat = np.flatnonzero((vs1 >= t) & (vt1 >= s) & (vs2 >= t) & (vt2 >= s))
-            s1, t1, s2, t2 = S1[lat], T1[lat], S2[lat], T2[lat]
-            for k in range(1, p**s):
-                u = (k * p ** (alpha - s - t) + 1) % d
-                moves.append(emit(f"W({s},{t},{k})", lat, s1 * u, t1, s2 * u, t2))
-
-    for s in range(alpha):
-        ps = p**s
-        chain = np.flatnonzero((M1 == ps) & (S2 != 0) & (vt2 >= s))
-        s1, t1, s2, t2 = S1[chain], T1[chain], S2[chain], T2[chain]
-
-        def rule(name: str, keep: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> None:
-            """Rewrite the third member of the chain states selected by keep."""
-            moves.append(emit(f"RULE({name})", chain[keep], s1[keep], t1[keep],
-                              a2[keep], b2[keep]))
-
-        deep = s + vs2[chain] >= alpha
-        xsplit = p ** np.minimum(vs2[chain], alpha - 1).astype(np.int64)
-        rule("x3-split", deep & (t2 == 0), xsplit, t2)
-        rule("xz3-split", deep & (t2 != 0), xsplit, t2)
-
-        m = p ** (alpha - s)
-        invt = np.zeros(m, dtype=np.int64)
-        for x in range(1, m):
-            if x % p:
-                invt[x] = pow(x, -1, m)
-        tp = t2 // ps
-        rule("xz3-residue-invert", tp % p != 0, -s2, ps * invt[tp])
-        one = (1 - tp) % m
-        rule("xz3-residue-flip-invert", one % p != 0, s2, ps * invt[one])
-
+    moves = []
+    domain, states, members = None, np.arange(M1.shape[0], dtype=np.int64), universe
+    for mv in enumerator_moves(d, 3, _array_tables(d)):
+        if mv.domain is not domain:
+            domain = mv.domain
+            states = np.flatnonzero(domain(universe))
+            members = _restrict(universe, states)
+        moves.append(arrows(mv, states, members))
     return moves
 
 
@@ -426,8 +384,7 @@ def _obstruction_scan(
     """Yield (state, partner, s, t, t', verdict) for every sign-flip pattern."""
     n2 = d * d
     S2, T2 = M2 // d, M2 % d
-    vp = _vp_table(d, p, alpha)
-    vpx = vp[S2]
+    vpx = _array_tables(d).vp[S2]
     for s in range(alpha):
         ps = p**s
         cand = np.where(

@@ -6,8 +6,6 @@ comment).  Recognized keys:
 
     enum_cap    largest dimension enumerated for triples (pairs go up to
                 its square), default 32
-    matrix_cap  largest dimension for dense-matrix checks, default 64
-    tolerance   comparison tolerance for dense-matrix checks, default 1e-9
     format      default output format: text, json or csv
     i3_a        comma-separated probe exponents for the third invariant
     powers      comma-separated power maps applied before re-probing
@@ -26,8 +24,6 @@ FORMATS = ("text", "json", "csv")
 @dataclass(frozen=True)
 class Config:
     enum_cap: int = 32
-    matrix_cap: int = 64
-    tolerance: float = 1e-9
     format: str = "text"
     i3_probes: tuple[int, ...] | None = None
     power_probes: tuple[int, ...] | None = None
@@ -65,15 +61,6 @@ def parse_config(text: str) -> Config:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key == "enum_cap":
             values["enum_cap"] = _parse_int(key, raw)
-        elif key == "matrix_cap":
-            values["matrix_cap"] = _parse_int(key, raw)
-        elif key == "tolerance":
-            try:
-                values["tolerance"] = float(raw)
-            except ValueError:
-                raise ValueError(f"tolerance expects a float, got {raw!r}") from None
-            if values["tolerance"] <= 0:
-                raise ValueError(f"tolerance must be positive, got {raw!r}")
         elif key == "format":
             if raw not in FORMATS:
                 raise ValueError(f"format must be one of {FORMATS}, got {raw!r}")

@@ -1,530 +1,300 @@
-"""Equivalence moves on Pauli exponent sets.
+"""Equivalence moves on Pauli exponent sets, each defined once.
 
 Every move here is (the exponent-level shadow of) a unitary that maps one
 Pauli set to another inside the same local-unitary class:
 
-* symplectic maps -- conjugation by the Clifford generators P (shear),
-  R (rotation), V (transposed shear) and Q_k (scaling), which act on an
-  exponent vector by a determinant-one 2x2 matrix mod d;
-* pivots -- right translation by the inverse of a member, which moves
-  that member onto the identity and shifts every exponent vector;
+* the Clifford generators P (shear), R (rotation), V (transposed shear)
+  and Q(k) (scaling), which act on every exponent vector by a
+  determinant-one 2x2 matrix mod d;
+* pivots PIVOT(j) -- translation by the inverse of member j, which moves
+  that member onto the identity;
 * the sublattice multiplier move W(s, t, k) -- a permutation unitary that
   exists on prime-power dimensions, fixes Z^(p^s), and multiplies the
   X-exponent of every member of the sublattice {x = 0 mod p^t,
-  z = 0 mod p^s} by k*p^(a-s-t) + 1;
-* named rewrite rules -- guarded set-level rewrites (shears that clear a
-  Z-tail, bracket moves on the shear residue, chain moves on commuting
-  sets, and the two tensor-split collapses available when the members
-  commute on the nose).
+  z = 0 mod p^s} by k*p^(alpha-s-t) + 1;
+* four rewrite rules on the chain triples {I, Z^(p^v), X^x Z^z} with
+  x != 0 and p^v | z: the two tensor-split collapses, which reduce the
+  unit in front of a maximal-order X-part to 1, and the two bracket
+  rewrites of the shear residue z / p^v.
 
-Moves serialize to short labels ("P", "Q(5)", "PIVOT(2)", "W(1,0,2)",
-"RULE(xz3-split)") and replay via :func:`parse_move` / :func:`apply_trace`,
-which is how classification witnesses are checked.
+A move is an exponent map plus its guard.  Both are written once, with
+arithmetic that gives the same result on plain ints and on numpy arrays:
+``+ - * // %``, comparisons, ``&`` and lookups in the per-dimension
+:class:`Tables`.  The enumerator in :mod:`gbsclass.classify` evaluates
+:func:`enumerator_moves` on a whole universe of sets at once; a witness
+is replayed by :func:`parse_move` / :func:`apply_trace`, which evaluate
+the same map and guard on one set's ints.  Labels look like "P", "Q(5)",
+"PIVOT(2)", "W(1,0,2)" and "RULE(xz3-split)".
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from math import gcd
+from numbers import Integral
+from typing import Any, Callable, Sequence
 
-from .pauli import Gpm, GpmSet, Vec
-from .residues import NonInvertible, inv_mod, prime_power
-
-
-class NotInLattice(ValueError):
-    """A set member falls outside the sublattice a context move needs."""
+from .pauli import GpmSet
+from .residues import OutOfRange, prime_power
 
 
 class PreconditionViolated(ValueError):
-    """Move parameters violate their documented bounds."""
+    """A move label or dimension violates its documented bounds."""
 
 
 class GuardFailed(ValueError):
-    """A rewrite rule was applied to a set that does not match its pattern."""
+    """A move was applied to a set outside its guard."""
+
+
+Members = list
+"""A set's members as (x, z) pairs, each an int or an int array over a
+universe of sets; a normalized set has the identity (0, 0) first."""
+
+Guard = Callable[[Members], Any]
+"""Whether a move applies: a bool, or a bool array over a universe."""
 
 
 @dataclass(frozen=True)
-class SymplecticMap:
-    """A 2x2 exponent action mod d with determinant one."""
+class Tables:
+    """Lookup tables at d = p**alpha, read by the W and RULE moves.
 
-    d: int
-    m: tuple[tuple[int, int], tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        (a, b), (c, e) = self.m
-        object.__setattr__(
-            self, "m", ((a % self.d, b % self.d), (c % self.d, e % self.d))
-        )
-
-    def det(self) -> int:
-        (a, b), (c, e) = self.m
-        return (a * e - b * c) % self.d
-
-    def apply_vec(self, v: Vec) -> Vec:
-        (a, b), (c, e) = self.m
-        s, t = v
-        return ((a * s + b * t) % self.d, (c * s + e * t) % self.d)
-
-    def compose(self, other: "SymplecticMap") -> "SymplecticMap":
-        """self after other (matrix product self.m @ other.m)."""
-        (a, b), (c, e) = self.m
-        (f, g), (h, i) = other.m
-        return SymplecticMap(
-            self.d,
-            ((a * f + b * h, a * g + b * i), (c * f + e * h, c * g + e * i)),
-        )
-
-
-def clifford_generator(name: str, d: int, k: int | None = None) -> SymplecticMap:
-    """Exponent action of a Clifford generator.
-
-    P: (s,t) -> (s, s+t)      (shear; diagonal quadratic-phase unitary)
-    R: (s,t) -> (-t, s)       (Fourier rotation)
-    V: (s,t) -> (s+t, t)      (the word P P R P R P P)
-    Q(k): (s,t) -> (s/k, k*t) for k invertible mod d
+    Every table is indexed by a residue or a valuation, so one lookup
+    serves an int and an int array alike.
     """
-    if name == "P":
-        return SymplecticMap(d, ((1, 0), (1, 1)))
-    if name == "R":
-        return SymplecticMap(d, ((0, -1), (1, 0)))
-    if name == "V":
-        return SymplecticMap(d, ((1, 1), (0, 1)))
-    if name == "Q":
-        if k is None:
-            raise PreconditionViolated("Q needs its scale parameter k")
-        return SymplecticMap(d, ((inv_mod(k, d), 0), (0, k)))
-    raise PreconditionViolated(f"unknown generator {name!r}")
+
+    p: int
+    alpha: int
+    vp: Sequence[int]  # p-adic valuation of each residue mod d, alpha for 0
+    pw: Sequence[int]  # p**v for v = 0..alpha
+    inv: Sequence[int]  # inverse mod d of each residue prime to p, 0 for the rest
 
 
-def apply_map(F: SymplecticMap, S: GpmSet) -> GpmSet:
-    if F.d != S.d:
-        raise PreconditionViolated(f"map mod {F.d} applied to set mod {S.d}")
-    return GpmSet(S.d, tuple(F.apply_vec(v) for v in S.members))
-
-
-def pivot_move(S: GpmSet, j: int) -> GpmSet:
-    """Translate the set so that member j lands on the identity."""
-    if not 0 <= j < len(S.members):
-        raise IndexError(f"pivot index {j} out of range for {len(S.members)} members")
-    s, t = S.members[j]
-    return GpmSet(S.d, tuple(sorted(S.translated((-s, -t)).members)))
-
-
-def w_move(S: GpmSet, p: int, alpha: int, s: int, t: int, k: int) -> GpmSet:
-    """Apply the sublattice multiplier move.
-
-    Requires d = p**alpha, 0 <= t, s + t < alpha and 1 <= k < p**s; every
-    member must satisfy x = 0 mod p**t and z = 0 mod p**s.  The move
-    multiplies each X-exponent by k*p**(alpha-s-t) + 1 and fixes every
-    Z-exponent.
-    """
-    d = p**alpha
-    if S.d != d:
-        raise PreconditionViolated(f"set lives mod {S.d}, context says {d}")
-    if alpha < 2 or s < 1 or t < 0 or s + t >= alpha:
-        raise PreconditionViolated(f"need alpha >= 2, s >= 1, t >= 0, s+t < alpha; "
-                                   f"got s={s} t={t} alpha={alpha}")
-    if not 1 <= k < p**s:
-        raise PreconditionViolated(f"need 1 <= k < p**s = {p**s}, got k={k}")
-    ps, pt = p**s, p**t
-    for x, z in S.members:
-        if x % pt or z % ps:
-            raise NotInLattice(f"member ({x},{z}) not in the (p^{t}, p^{s}) sublattice")
-    u = (k * p ** (alpha - s - t) + 1) % d
-    return GpmSet(d, tuple(sorted(((x * u) % d, z) for x, z in S.members)))
-
-
-def det_realizability_check(
-    F: SymplecticMap, p: int, alpha: int, s: int, t: int
-) -> bool:
-    """Whether a sublattice exponent map is realizable by some unitary.
-
-    On the sublattice {x = 0 mod p**t, z = 0 mod p**s} of a p**alpha
-    system, an integer matrix F acting on (x, z) comes from a unitary
-    conjugation exactly when det(F) = 1 mod p**(alpha - s - t).
-    """
-    if s < 0 or t < 0 or s + t >= alpha:
-        raise PreconditionViolated(f"need 0 <= s, t with s+t < alpha, got s={s} t={t}")
-    (a, b), (c, e) = F.m
-    return (a * e - b * c) % p ** (alpha - s - t) == 1
+@lru_cache(maxsize=16)
+def tables(d: int) -> Tables | None:
+    """The tables at d as tuples; None unless d = p**alpha with alpha >= 2."""
+    pa = prime_power(d)
+    if pa is None or pa[1] < 2:
+        return None
+    p, alpha = pa
+    vp = [alpha] * d
+    for x in range(1, d):
+        v = 0
+        while x % p ** (v + 1) == 0:
+            v += 1
+        vp[x] = v
+    return Tables(
+        p,
+        alpha,
+        tuple(vp),
+        tuple(p**v for v in range(alpha + 1)),
+        tuple(pow(x, -1, d) if x % p else 0 for x in range(d)),
+    )
 
 
 @dataclass(frozen=True)
 class Move:
-    """A labeled, replayable set move."""
+    """A labeled move: its exponent map, its guards, and their replay on a set.
+
+    ``image`` maps a set's members to their images, and returns the
+    identity first whenever the identity comes first.  ``domain`` is a
+    guard shared by a family of moves (one W lattice, the rule chain),
+    which the enumerator evaluates once per family; ``guard`` is the
+    move's own condition inside that domain.
+    """
 
     label: str
-    fn: Callable[[GpmSet], GpmSet]
+    d: int
+    image: Callable[[Members], Members]
+    domain: Guard | None = None
+    guard: Guard | None = None
 
     def apply(self, S: GpmSet) -> GpmSet:
-        return self.fn(S)
+        """The image of S, whose members are read in sorted order."""
+        if S.d != self.d:
+            raise PreconditionViolated(
+                f"{self.label} at d={self.d} applied to a set mod {S.d}")
+        ms = sorted(S.members)
+        for guard in (self.domain, self.guard):
+            if guard is not None and not guard(ms):
+                raise GuardFailed(f"{self.label} does not apply to {S.to_text()}")
+        d = self.d
+        return GpmSet(d, tuple(sorted((x % d, z % d) for x, z in self.image(ms))))
 
     def applies(self, S: GpmSet) -> bool:
         try:
-            self.fn(S)
-            return True
-        except (GuardFailed, NotInLattice, PreconditionViolated, NonInvertible,
-                IndexError, ValueError):
+            self.apply(S)
+        except (GuardFailed, PreconditionViolated):
             return False
+        return True
 
 
-def _sorted_set(d: int, members: list[Vec]) -> GpmSet:
-    ms = sorted((s % d, t % d) for s, t in members)
-    if len(set(ms)) != len(ms):
-        raise GuardFailed("rewrite would collapse two members")
-    return GpmSet(d, tuple(ms))
+_LINEAR = {
+    "P": lambda x, z: (x, x + z),
+    "R": lambda x, z: (-z, x),
+    "V": lambda x, z: (x + z, z),  # the word P P R P R P P
+}
 
 
-def _clifford_move(name: str, d: int, k: int | None = None) -> Move:
-    F = clifford_generator(name, d, k)
-    label = f"Q({k})" if name == "Q" else name
-
-    def fn(S: GpmSet) -> GpmSet:
-        return GpmSet(S.d, tuple(sorted(apply_map(F, S).members)))
-
-    return Move(label, fn)
+def _linear(label: str, d: int, f: Callable) -> Move:
+    """A move acting on every member by the same exponent map."""
+    return Move(label, d, lambda ms: [f(x, z) for x, z in ms])
 
 
-def _pivot_move_obj(j: int) -> Move:
-    return Move(f"PIVOT({j})", lambda S: pivot_move(S, j))
+def _scale(d: int, k: int) -> Move:
+    """Q(k): (x, z) -> (x / k, k z) for k invertible mod d."""
+    ki = pow(k, -1, d)
+    return _linear(f"Q({k})", d, lambda x, z: (x * ki, k * z))
 
 
-def _translate_move_obj(v: Vec) -> Move:
-    def fn(S: GpmSet) -> GpmSet:
-        return GpmSet(S.d, tuple(sorted(S.translated(v).members)))
+def _pivot(d: int, j: int) -> Move:
+    """PIVOT(j): translate every member by the inverse of member j."""
 
-    return Move(f"TRANSLATE({v[0]},{v[1]})", fn)
+    def image(ms: Members) -> Members:
+        # the member count is the same for every set of a universe
+        if j >= len(ms):
+            raise GuardFailed(f"PIVOT({j}) needs a member {j}")
+        xj, zj = ms[j]
+        return [(0, 0)] + [(x - xj, z - zj) for i, (x, z) in enumerate(ms) if i != j]
 
-
-def _w_move_obj(p: int, alpha: int, s: int, t: int, k: int) -> Move:
-    return Move(f"W({s},{t},{k})", lambda S: w_move(S, p, alpha, s, t, k))
-
-
-def _vp(x: int, p: int, alpha: int) -> int:
-    """p-adic valuation of x mod p**alpha (alpha for x = 0)."""
-    if x % p**alpha == 0:
-        return alpha
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    return Move(f"PIVOT({j})", d, image)
 
 
-# ---------------------------------------------------------------------------
-# Named rewrite rules.  Each guard matches a normalized triple
-# {(0,0), (0,z), (x,w)} (or pair) literally; reaching the guarded shape is
-# the job of the symplectic moves, so the patterns stay strict.
-# ---------------------------------------------------------------------------
+def _lattice(tab: Tables, s: int, t: int) -> Guard:
+    """Every member lies in {x = 0 mod p**t, z = 0 mod p**s}."""
+    vp = tab.vp
+
+    def domain(ms: Members) -> Any:
+        inside = True
+        for x, z in ms:
+            inside = inside & (vp[x] >= t) & (vp[z] >= s)
+        return inside
+
+    return domain
 
 
-def _match_triple(S: GpmSet) -> tuple[Vec, Vec]:
-    if len(S.members) != 3 or S.members[0] != (0, 0):
-        raise GuardFailed("pattern needs a normalized triple with the identity first")
-    return S.members[1], S.members[2]
+def _w(d: int, tab: Tables, s: int, t: int, k: int, lattice: Guard) -> Move:
+    """W(s, t, k) on the lattice of (s, t); needs 1 <= s, 0 <= t, s + t < alpha."""
+    u = (k * tab.pw[tab.alpha - s - t] + 1) % d
+    return Move(f"W({s},{t},{k})", d, lambda ms: [(x * u, z) for x, z in ms], lattice)
 
 
-def _match_z_x(S: GpmSet) -> tuple[int, int, int]:
-    """Match {(0,0), (0,z), (x,w)} with z != 0, x != 0; returns (z, x, w)."""
-    (s1, t1), (s2, t2) = _match_triple(S)
-    if s1 == 0 and t1 != 0 and s2 != 0:
-        return t1, s2, t2
-    raise GuardFailed("pattern needs one pure-Z member and one X-bearing member")
+def _rules(d: int, tab: Tables) -> list[Move]:
+    """The rewrites of the chain triples, in the enumerator's order.
 
+    A chain triple is the normalized {I, Z^(p^v), X^x Z^z} with x != 0
+    and p^v | z; its middle member's z-exponent is the chain step p^v
+    itself, so v = vp[t1] and the shear residue is t2 // t1.
+    """
+    alpha, p, vp, pw, inv = tab.alpha, tab.p, tab.vp, tab.pw, tab.inv
 
-def _match_power_of(p: int, alpha: int, z: int) -> int:
-    s = _vp(z, p, alpha)
-    if z != p**s:
-        raise GuardFailed(f"member Z^{z} is not a plain power of {p}")
-    return s
+    def chain(ms: Members) -> Any:
+        if len(ms) != 3 or ms[0] != (0, 0):
+            return False
+        (s1, t1), (s2, t2) = ms[1], ms[2]
+        return (s1 == 0) & (t1 == pw[vp[t1]]) & (s2 != 0) & (vp[t2] >= vp[t1])
 
+    def deep(ms: Members) -> Any:
+        """Z^(p^v) commutes with the third member: v + vp(x) >= alpha."""
+        return vp[ms[2][0]] + vp[ms[1][1]] >= alpha
 
-def _rule(label: str, fn: Callable[[GpmSet], GpmSet]) -> Move:
-    return Move(f"RULE({label})", fn)
+    def split(ms: Members) -> Members:
+        s2, t2 = ms[2]
+        return [ms[0], ms[1], (pw[vp[s2]], t2)]
 
+    def residue(ms: Members) -> Any:
+        return ms[2][1] // ms[1][1]
 
-def _p2_rules(p: int) -> list[Move]:
-    d = p * p
+    def invert(ms: Members) -> Members:
+        (_, t1), (s2, _) = ms[1], ms[2]
+        return [ms[0], ms[1], (-s2, t1 * inv[residue(ms)])]
 
-    def clear_tail2(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        if x % p != 0:
-            pass
-        elif w % p == 0 and (x // p) % p != 0:
-            pass
-        else:
-            raise GuardFailed("Z-tail is not clearable by a shear here")
-        return _sorted_set(d, [(0, 0), (0, z), (x, 0)])
-
-    def mirror_x2(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        if z != 1 or w != 0:
-            raise GuardFailed("pattern is {I, Z, X^s}")
-        return _sorted_set(d, [(0, 0), (0, 1), (-x, 0)])
-
-    def drop_unit_tail2(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        if z != 1 or w != 1 or _vp(x, p, 2) != 1:
-            raise GuardFailed("pattern is {I, Z, X^(kp) Z}")
-        return _sorted_set(d, [(0, 0), (0, 1), (-x, 0)])
-
-    def step_tail2(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        if z != 1 or _vp(x, p, 2) != 1:
-            raise GuardFailed("pattern is {I, Z, X^(kp) Z^t}")
-        return _sorted_set(d, [(0, 0), (0, 1), (x, w - p)])
-
-    def flip_residue2(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        if z != 1 or _vp(x, p, 2) != 1:
-            raise GuardFailed("pattern is {I, Z, X^(kp) Z^s}")
-        return _sorted_set(d, [(0, 0), (0, 1), (-x, 1 - w)])
-
-    def invert_residue2(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        if z != 1 or _vp(x, p, 2) != 1 or w % p == 0:
-            raise GuardFailed("pattern is {I, Z, X^(kp) Z^s} with s invertible")
-        return _sorted_set(d, [(0, 0), (0, 1), (-x, inv_mod(w, d))])
-
-    def swap_depth2(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        if z != p or w != 0 or x % p == 0:
-            raise GuardFailed("pattern is {I, Z^p, X^s} with s invertible")
-        return _sorted_set(d, [(0, 0), (0, 1), (-x * p, 0)])
-
-    def collapse_chain2(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        if z != p or _vp(x, p, 2) != 1 or w % p == 0:
-            raise GuardFailed("pattern is {I, Z^p, X^(kp) Z^t} with t invertible")
-        return _sorted_set(d, [(0, 0), (0, 1), (0, (p * inv_mod(w, d)) % d)])
-
-    def drop_unit2(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        if z != p or w != 0 or _vp(x, p, 2) != 1:
-            raise GuardFailed("pattern is {I, Z^p, X^(kp)}")
-        return _sorted_set(d, [(0, 0), (0, p), (p, 0)])
+    def flip_invert(ms: Members) -> Members:
+        (_, t1), (s2, _) = ms[1], ms[2]
+        return [ms[0], ms[1], (s2, t1 * inv[(1 - residue(ms)) % d])]
 
     return [
-        _rule("tail-clear2", clear_tail2),
-        _rule("x-mirror2", mirror_x2),
-        _rule("unit-tail-drop2", drop_unit_tail2),
-        _rule("tail-step2", step_tail2),
-        _rule("residue-flip2", flip_residue2),
-        _rule("residue-invert2", invert_residue2),
-        _rule("depth-swap2", swap_depth2),
-        _rule("chain-collapse2", collapse_chain2),
-        _rule("unit-drop2", drop_unit2),
+        Move("RULE(x3-split)", d, split, chain,
+             lambda ms: deep(ms) & (ms[2][1] == 0)),
+        Move("RULE(xz3-split)", d, split, chain,
+             lambda ms: deep(ms) & (ms[2][1] != 0)),
+        Move("RULE(xz3-residue-invert)", d, invert, chain,
+             lambda ms: residue(ms) % p != 0),
+        Move("RULE(xz3-residue-flip-invert)", d, flip_invert, chain,
+             lambda ms: (1 - residue(ms)) % p != 0),
     ]
 
 
-def _alpha_rules(p: int, alpha: int) -> list[Move]:
-    d = p**alpha
+def enumerator_moves(d: int, size: int, tab: Tables | None = None) -> list[Move]:
+    """The moves the enumerator evaluates on normalized sets of ``size`` members.
 
-    def match_a(S: GpmSet) -> tuple[int, int, int]:
-        """{I, Z^(p^s), X^(k p^t)}; returns (s, t, k)."""
-        z, x, w = _match_z_x(S)
-        if w != 0:
-            raise GuardFailed("pattern needs a pure-X third member")
-        s = _match_power_of(p, alpha, z)
-        t = _vp(x, p, alpha)
-        return s, t, x // p**t
-
-    def match_c(S: GpmSet) -> tuple[int, int, int, int]:
-        """{I, Z^(p^s), X^x Z^(t' p^s)}; returns (s, t, k, t')."""
-        z, x, w = _match_z_x(S)
-        s = _match_power_of(p, alpha, z)
-        if w % p**s:
-            raise GuardFailed("Z-tail is not a multiple of the chain step")
-        t = _vp(x, p, alpha)
-        return s, t, x // p**t, w // p**s
-
-    def x3_axis_swap(S: GpmSet) -> GpmSet:
-        s, t, k = match_a(S)
-        return _sorted_set(d, [(0, 0), (0, p**t), (-k * p**s, 0)])
-
-    def x3_sign_flip(S: GpmSet) -> GpmSet:
-        s, t, k = match_a(S)
-        if s < t:
-            raise GuardFailed("sign flip in place needs s >= t")
-        return _sorted_set(d, [(0, 0), (0, p**s), (-k * p**t, 0)])
-
-    def x3_split(S: GpmSet) -> GpmSet:
-        s, t, k = match_a(S)
-        if s + t < alpha:
-            raise GuardFailed("tensor split needs s + t >= alpha")
-        return _sorted_set(d, [(0, 0), (0, p**s), (p**t, 0)])
-
-    def xz3_residue_flip(S: GpmSet) -> GpmSet:
-        s, t, k, tp = match_c(S)
-        return _sorted_set(d, [(0, 0), (0, p**s), (-k * p**t, (1 - tp) * p**s)])
-
-    def xz3_residue_invert(S: GpmSet) -> GpmSet:
-        s, t, k, tp = match_c(S)
-        if tp % p == 0:
-            raise GuardFailed("bracket inverse needs the shear residue invertible")
-        m = p ** (alpha - s)
-        return _sorted_set(d, [(0, 0), (0, p**s), (-k * p**t, inv_mod(tp, m) * p**s)])
-
-    def xz3_residue_flip_invert(S: GpmSet) -> GpmSet:
-        s, t, k, tp = match_c(S)
-        m = p ** (alpha - s)
-        if (1 - tp) % p == 0:
-            raise GuardFailed("bracket flip needs 1 - t' invertible")
-        return _sorted_set(
-            d, [(0, 0), (0, p**s), (k * p**t, inv_mod(1 - tp, m) * p**s)]
-        )
-
-    def xz3_unit_swap(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        s = _match_power_of(p, alpha, z)
-        if x % p == 0:
-            raise GuardFailed("pattern needs an invertible X-exponent")
-        return _sorted_set(d, [(0, 0), (0, 1), (-x * p**s, 0)])
-
-    def xz3_tail_swap(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        s = _match_power_of(p, alpha, z)
-        t = _vp(x, p, alpha)
-        tq = _vp(w, p, alpha)
-        if tq >= t or w == 0:
-            raise GuardFailed("swap form needs the Z-tail valuation below the X one")
-        kq = w // p**tq
-        return _sorted_set(
-            d,
-            [(0, 0), (0, p**tq),
-             (-x // p**t * p ** min(t - tq + s, alpha), inv_mod(kq, d) * p**s)],
-        )
-
-    def xz3_tail_clear(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        _match_power_of(p, alpha, z)
-        if w == 0 or _vp(w, p, alpha) < _vp(x, p, alpha):
-            raise GuardFailed("shear clear needs the Z-tail valuation at least the X one")
-        return _sorted_set(d, [(0, 0), (0, z), (x, 0)])
-
-    def xz3_unit_tail_clear(S: GpmSet) -> GpmSet:
-        z, x, w = _match_z_x(S)
-        _match_power_of(p, alpha, z)
-        if w != z:
-            raise GuardFailed("pattern is {I, Z^(p^s), X^(k p^t) Z^(p^s)}")
-        return _sorted_set(d, [(0, 0), (0, z), (x, 0)])
-
-    def xz3_split(S: GpmSet) -> GpmSet:
-        s, t, k, tp = match_c(S)
-        if s + t < alpha:
-            raise GuardFailed("tensor split needs s + t >= alpha")
-        return _sorted_set(d, [(0, 0), (0, p**s), (p**t, tp * p**s)])
-
-    def match_b(S: GpmSet) -> tuple[int, int, int]:
-        """{I, Z^(p^s), Z^(k p^t)}; returns (s, t, k)."""
-        (s1, t1), (s2, t2) = _match_triple(S)
-        if s1 != 0 or s2 != 0 or t1 == 0 or t2 == 0:
-            raise GuardFailed("pattern needs two pure-Z members")
-        s = _match_power_of(p, alpha, t1)
-        t = _vp(t2, p, alpha)
-        return s, t, t2 // p**t
-
-    def z3_axis_swap(S: GpmSet) -> GpmSet:
-        s, t, k = match_b(S)
-        return _sorted_set(d, [(0, 0), (0, p**t), (0, inv_mod(k, d) * p**s)])
-
-    def z3_flip_invert(S: GpmSet) -> GpmSet:
-        s, t, k = match_b(S)
-        m = p ** (alpha - s)
-        tv = (k * p ** (t - s)) % m if t >= s else None
-        if tv is None or (1 - tv) % p == 0:
-            raise GuardFailed("chain flip needs 1 - t invertible on the chain")
-        return _sorted_set(d, [(0, 0), (0, p**s), (0, inv_mod(1 - tv, m) * p**s)])
-
-    def z3_invert_flip(S: GpmSet) -> GpmSet:
-        s, t, k = match_b(S)
-        m = p ** (alpha - s)
-        if t != s:
-            raise GuardFailed("chain move needs an invertible chain residue")
-        tv = k % m
-        return _sorted_set(d, [(0, 0), (0, p**s), (0, ((1 - inv_mod(tv, m)) % m) * p**s)])
-
-    return [
-        _rule("x3-axis-swap", x3_axis_swap),
-        _rule("x3-sign-flip", x3_sign_flip),
-        _rule("x3-split", x3_split),
-        _rule("xz3-residue-flip", xz3_residue_flip),
-        _rule("xz3-residue-invert", xz3_residue_invert),
-        _rule("xz3-residue-flip-invert", xz3_residue_flip_invert),
-        _rule("xz3-unit-swap", xz3_unit_swap),
-        _rule("xz3-tail-swap", xz3_tail_swap),
-        _rule("xz3-tail-clear", xz3_tail_clear),
-        _rule("xz3-unit-tail-clear", xz3_unit_tail_clear),
-        _rule("xz3-split", xz3_split),
-        _rule("z3-axis-swap", z3_axis_swap),
-        _rule("z3-flip-invert", z3_flip_invert),
-        _rule("z3-invert-flip", z3_invert_flip),
-    ]
-
-
-def _gcd_rule(d: int) -> Move:
-    from math import gcd
-
-    def fn(S: GpmSet) -> GpmSet:
-        if len(S.members) != 2 or S.members[0] != (0, 0):
-            raise GuardFailed("the content rule applies to normalized pairs only")
-        s, t = S.members[1]
-        g = gcd(gcd(s, t), d)
-        if g == 0 or (s, t) == (0, g % d):
-            raise GuardFailed("pair already in content form")
-        return GpmSet(d, ((0, 0), (0, g)))
-
-    return _rule("gcd", fn)
+    The order fixes which move each witness step takes.  Triples also get
+    the W and RULE moves when ``tab`` (the tables at d) is given.
+    """
+    moves = [_linear(label, d, _LINEAR[label]) for label in ("P", "R")]
+    moves += [_pivot(d, j) for j in range(1, size)]
+    if size == 3 and tab is not None:
+        for s in range(1, tab.alpha):
+            for t in range(tab.alpha - s):
+                lattice = _lattice(tab, s, t)
+                moves += [_w(d, tab, s, t, k, lattice) for k in range(1, tab.pw[s])]
+        moves += _rules(d, tab)
+    return moves
 
 
 def rule_catalog(d: int) -> list[Move]:
-    """All named rewrite rules available at dimension d."""
-    rules: list[Move] = [_gcd_rule(d)]
-    pa = prime_power(d)
-    if pa is not None:
-        p, alpha = pa
-        if alpha == 2:
-            rules.extend(_p2_rules(p))
-        if alpha >= 2:
-            rules.extend(_alpha_rules(p, alpha))
-    return rules
+    """The named rewrite rules the enumerator uses at dimension d."""
+    tab = tables(d)
+    return [] if tab is None else _rules(d, tab)
 
 
 _MOVE_RE = re.compile(
-    r"^(?:(?P<plain>[PRV])"
-    r"|Q\((?P<qk>-?\d+)\)"
-    r"|PIVOT\((?P<pj>\d+)\)"
-    r"|TRANSLATE\((?P<tx>-?\d+),(?P<tz>-?\d+)\)"
-    r"|W\((?P<ws>\d+),(?P<wt>\d+),(?P<wk>\d+)\)"
-    r"|RULE\((?P<rule>[^)]+)\))$"
+    r"(?:(?P<plain>[PRV])"
+    r"|Q\((?P<qk>-?[0-9]{1,18})\)"
+    r"|PIVOT\((?P<pj>[0-9]{1,18})\)"
+    r"|W\((?P<ws>[0-9]{1,18}),(?P<wt>[0-9]{1,18}),(?P<wk>[0-9]{1,18})\)"
+    r"|RULE\((?P<rule>[^)]+)\))"
 )
 
 
 def parse_move(label: str, d: int) -> Move:
-    """Reconstruct a move from its serialized label for dimension d."""
-    m = _MOVE_RE.match(label.replace(" ", ""))
+    """Reconstruct a move from its serialized label for dimension d.
+
+    Raises PreconditionViolated for every label or d it cannot build.
+    """
+    if not isinstance(d, Integral) or d < 2:
+        raise PreconditionViolated(f"moves need a dimension d >= 2, got {d!r}")
+    d = int(d)
+    m = _MOVE_RE.fullmatch(label.replace(" ", ""))
     if m is None:
         raise PreconditionViolated(f"unparseable move label {label!r}")
     if m["plain"]:
-        return _clifford_move(m["plain"], d)
+        return _linear(m["plain"], d, _LINEAR[m["plain"]])
     if m["qk"]:
-        return _clifford_move("Q", d, int(m["qk"]))
+        k = int(m["qk"])
+        if gcd(k, d) != 1:
+            raise PreconditionViolated(f"Q({k}) needs k invertible mod {d}")
+        return _scale(d, k)
     if m["pj"]:
-        return _pivot_move_obj(int(m["pj"]))
-    if m["tx"] is not None:
-        return _translate_move_obj((int(m["tx"]), int(m["tz"])))
-    if m["ws"] is not None:
-        pa = prime_power(d)
-        if pa is None:
-            raise PreconditionViolated(f"W moves need a prime-power dimension, d={d}")
-        p, alpha = pa
-        return _w_move_obj(p, alpha, int(m["ws"]), int(m["wt"]), int(m["wk"]))
-    name = m["rule"]
-    for rule in rule_catalog(d):
-        if rule.label == f"RULE({name})":
+        return _pivot(d, int(m["pj"]))
+    try:
+        tab = tables(d)
+    except OutOfRange as exc:
+        raise PreconditionViolated(str(exc)) from None
+    if tab is None:
+        raise PreconditionViolated(f"{label} needs d = p**alpha with alpha >= 2, d={d}")
+    if m["ws"]:
+        s, t, k = int(m["ws"]), int(m["wt"]), int(m["wk"])
+        if s < 1 or s + t >= tab.alpha or not 1 <= k < tab.pw[s]:
+            raise PreconditionViolated(
+                f"W(s,t,k) needs s >= 1, s + t < {tab.alpha} and 1 <= k < p**s, "
+                f"got {label}")
+        return _w(d, tab, s, t, k, _lattice(tab, s, t))
+    for rule in _rules(d, tab):
+        if rule.label == f"RULE({m['rule']})":
             return rule
-    raise PreconditionViolated(f"unknown rule {name!r} at dimension {d}")
+    raise PreconditionViolated(f"unknown rule {m['rule']!r} at dimension {d}")
 
 
 def apply_trace(S: GpmSet, labels: list[str]) -> GpmSet:

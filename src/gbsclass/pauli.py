@@ -133,19 +133,6 @@ class GpmSet:
                                     for s, t in self.members))
 
 
-def diff_table(S: GpmSet) -> tuple[tuple[Vec, ...], ...]:
-    """n x n table of exponent differences, entry (i, j) = member_j - member_i.
-
-    Row i collects the exponent vectors of M_i^+ M_j for all j, which is
-    all the invariants ever need from the set.
-    """
-    d = S.d
-    ms = S.members
-    return tuple(
-        tuple(((sj - si) % d, (tj - ti) % d) for sj, tj in ms) for si, ti in ms
-    )
-
-
 def _flat_diffs(S: GpmSet) -> list[Vec]:
     d = S.d
     ms = S.members

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from gbsclass.classify import (
@@ -18,6 +19,7 @@ from gbsclass.classify import (
     OutOfDomain,
     CountFormula,
     _components,
+    _pairs_state,
     _triples_expectation,
     _triples_state,
     enumerate_pairs,
@@ -28,7 +30,7 @@ from gbsclass.classify import (
     locate_class,
     sign_flip_feasibility,
 )
-from gbsclass.moves import PreconditionViolated, apply_trace
+from gbsclass.moves import PreconditionViolated, apply_trace, parse_move
 from gbsclass.pauli import GpmSet
 
 
@@ -200,6 +202,43 @@ def test_eight_level_merges_need_no_rewrite_rule() -> None:
     assert len(unitary) < len(moves)
     assert (_components(M1.shape[0], unitary)
             == _components(M1.shape[0], moves)).all()
+
+
+def _assert_arrows_replay(d, n, state_set, moves, rng=None) -> None:
+    """Replaying each move entry's label on one set gives the entry's arrows.
+
+    ``state_set(i)`` is the normalized set of state i.  Every arrow and
+    every other state is checked, or with ``rng`` a seeded sample of
+    each; a state that is no arrow source is refused or stays fixed.
+    """
+    for label, src, dst in moves:
+        mv = parse_move(label, d)
+        arrows = range(src.size) if rng is None else rng.permutation(src.size)[:40]
+        for a in arrows:
+            assert mv.apply(state_set(int(src[a]))) == state_set(int(dst[a])), label
+        sources = set(src.tolist())
+        for i in range(n) if rng is None else rng.integers(n, size=40).tolist():
+            S = state_set(i)
+            if i not in sources and mv.applies(S):
+                assert mv.apply(S) == S, (label, S.to_text())
+
+
+def test_move_arrows_replay_label_by_label() -> None:
+    """The enumerator's arrows and the replay of their labels agree."""
+    rng = np.random.default_rng(20261018)
+    for d in (8, 9, 16, 25, 27, 32):
+        sample = None if d < 16 else rng
+        M1, M2, _, moves, _, _ = _triples_state(d)
+
+        def triple(i: int) -> GpmSet:
+            return GpmSet(d, ((0, 0), divmod(int(M1[i]), d), divmod(int(M2[i]), d)))
+
+        _assert_arrows_replay(d, M1.shape[0], triple, moves, sample)
+
+        def pair(i: int) -> GpmSet:
+            return GpmSet(d, ((0, 0), divmod(i, d)))
+
+        _assert_arrows_replay(d, d * d, pair, _pairs_state(d)[0], sample)
 
 
 def test_triple_orbits_cover_universe() -> None:

@@ -209,3 +209,7 @@ def test_config_errors_are_usage_errors(tmp_path) -> None:
     cfg.write_text("enum_cap = fast\n")
     assert run("pairs", "--dim", "6",
                env={"GBSCLASS_CONFIG": str(cfg)}).exit_code == 2
+    for removed in ("matrix_cap = 64\n", "tolerance = 1e-9\n"):
+        cfg.write_text(removed)
+        res = run("pairs", "--dim", "6", env={"GBSCLASS_CONFIG": str(cfg)})
+        assert res.exit_code == 2 and "unknown key" in res.output

@@ -2,27 +2,32 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from gbsclass.classify import _triples_state
 from gbsclass.moves import (
     GuardFailed,
-    NotInLattice,
+    Move,
     PreconditionViolated,
-    SymplecticMap,
-    apply_map,
     apply_trace,
-    clifford_generator,
-    det_realizability_check,
     parse_move,
-    pivot_move,
     rule_catalog,
-    w_move,
 )
 from gbsclass.pauli import GpmSet, invariant_vector
+from gbsclass.residues import prime_power
 
 
 def s(text: str, d: int) -> GpmSet:
     return GpmSet.from_text(text, d)
+
+
+def image(label: str, d: int, v: tuple[int, int]) -> tuple[int, int]:
+    """Where a move fixing the identity sends the member v of the pair {I, v}."""
+    identity, w = parse_move(label, d).apply(GpmSet(d, ((0, 0), v))).members
+    assert identity == (0, 0)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -32,48 +37,35 @@ def s(text: str, d: int) -> GpmSet:
 
 def test_generator_actions_on_basis_vectors() -> None:
     d = 9
-    P = clifford_generator("P", d)
-    R = clifford_generator("R", d)
-    V = clifford_generator("V", d)
-    assert P.apply_vec((1, 0)) == (1, 1)
-    assert P.apply_vec((0, 1)) == (0, 1)
-    assert R.apply_vec((1, 0)) == (0, 1)
-    assert R.apply_vec((0, 1)) == (8, 0)
-    assert V.apply_vec((1, 0)) == (1, 0)
-    assert V.apply_vec((0, 1)) == (1, 1)
+    assert image("P", d, (1, 0)) == (1, 1)
+    assert image("P", d, (0, 1)) == (0, 1)
+    assert image("R", d, (1, 0)) == (0, 1)
+    assert image("R", d, (0, 1)) == (8, 0)
+    assert image("V", d, (1, 0)) == (1, 0)
+    assert image("V", d, (0, 1)) == (1, 1)
 
 
 def test_q_action_scales_both_axes() -> None:
-    Q = clifford_generator("Q", 9, 2)
-    assert Q.apply_vec((1, 0)) == (5, 0)  # 1/2 = 5 mod 9
-    assert Q.apply_vec((0, 1)) == (0, 2)
+    assert image("Q(2)", 9, (1, 0)) == (5, 0)  # 1/2 = 5 mod 9
+    assert image("Q(2)", 9, (0, 1)) == (0, 2)
     with pytest.raises(PreconditionViolated):
-        clifford_generator("Q", 9)
+        parse_move("Q", 9)
     with pytest.raises(PreconditionViolated):
-        clifford_generator("T", 9)
+        parse_move("T", 9)
 
 
 def test_generators_have_determinant_one() -> None:
     for d in (4, 9, 12):
-        for name in ("P", "R", "V"):
-            assert clifford_generator(name, d).det() == 1
-        for k in range(2, d):
-            if __import__("math").gcd(k, d) == 1:
-                assert clifford_generator("Q", d, k).det() == 1
-
-
-def test_compose_matches_sequential_application() -> None:
-    d = 7
-    P = clifford_generator("P", d)
-    R = clifford_generator("R", d)
-    both = P.compose(R)
-    for v in ((1, 0), (0, 1), (3, 5)):
-        assert both.apply_vec(v) == P.apply_vec(R.apply_vec(v))
+        labels = ["P", "R", "V"] + [f"Q({k})" for k in range(2, d) if math.gcd(k, d) == 1]
+        for label in labels:
+            (a, c), (b, e) = image(label, d, (1, 0)), image(label, d, (0, 1))
+            assert (a * e - b * c) % d == 1, (d, label)
 
 
 def test_apply_map_respects_dimension() -> None:
     with pytest.raises(PreconditionViolated):
-        apply_map(clifford_generator("P", 5), s("0,0;0,1", 7))
+        parse_move("P", 5).apply(s("0,0;0,1", 7))
+    assert not parse_move("P", 5).applies(s("0,0;0,1", 7))
 
 
 # ---------------------------------------------------------------------------
@@ -83,43 +75,34 @@ def test_apply_map_respects_dimension() -> None:
 
 def test_pivot_translates_member_onto_identity() -> None:
     S = s("0,0;0,1;1,0", 9)
-    assert pivot_move(S, 1).to_text() == "0,0;0,8;1,8"
-    assert pivot_move(S, 0).to_text() == S.to_text()
-    with pytest.raises(IndexError):
-        pivot_move(S, 3)
+    assert parse_move("PIVOT(1)", 9).apply(S).to_text() == "0,0;0,8;1,8"
+    assert parse_move("PIVOT(0)", 9).apply(S).to_text() == S.to_text()
+    with pytest.raises(GuardFailed):
+        parse_move("PIVOT(3)", 9).apply(S)
 
 
 def test_w_move_frozen_examples() -> None:
     # X-exponents scale by k p**(alpha-s-t) + 1; Z-exponents stay
-    T = w_move(s("0,0;0,3;3,0", 27), 3, 3, 1, 1, 1)
+    T = parse_move("W(1,1,1)", 27).apply(s("0,0;0,3;3,0", 27))
     assert T.to_text() == "0,0;0,3;12,0"
-    T = w_move(s("0,0;0,2;2,0", 8), 2, 3, 1, 1, 1)
+    T = parse_move("W(1,1,1)", 8).apply(s("0,0;0,2;2,0", 8))
     assert T.to_text() == "0,0;0,2;6,0"
-    T = w_move(s("0,0;0,2;4,2", 16), 2, 4, 1, 2, 1)
+    T = parse_move("W(1,2,1)", 16).apply(s("0,0;0,2;4,2", 16))
     assert T.to_text() == "0,0;0,2;12,2"
 
 
 def test_w_move_guards() -> None:
-    with pytest.raises(NotInLattice):
-        w_move(s("0,0;0,1;1,0", 27), 3, 3, 1, 1, 1)
+    with pytest.raises(GuardFailed):
+        parse_move("W(1,1,1)", 27).apply(s("0,0;0,1;1,0", 27))  # off the lattice
     with pytest.raises(PreconditionViolated):
-        w_move(s("0,0;0,3;3,0", 27), 3, 3, 2, 1, 1)  # s + t too deep
+        parse_move("W(2,1,1)", 27)  # s + t too deep
     with pytest.raises(PreconditionViolated):
-        w_move(s("0,0;0,3;3,0", 27), 3, 3, 1, 1, 3)  # k not below p**s
+        parse_move("W(1,1,3)", 27)  # k not below p**s
     with pytest.raises(PreconditionViolated):
-        w_move(s("0,0;0,3;3,0", 27), 3, 2, 1, 0, 1)  # wrong ambient dimension
-
-
-def test_det_realizability() -> None:
-    F = SymplecticMap(27, ((4, 0), (0, 7)))  # det 28 = 1 mod 27
-    assert det_realizability_check(F, 3, 3, 0, 0)
-    G = SymplecticMap(27, ((4, 0), (0, 1)))  # det 4
-    assert not det_realizability_check(G, 3, 3, 0, 0)
-    # shallow sublattices only need the determinant mod a smaller power
-    assert det_realizability_check(G, 3, 3, 1, 1)  # 4 = 1 mod 3
-    assert not det_realizability_check(G, 3, 3, 1, 0)  # but not mod 9
-    with pytest.raises(PreconditionViolated):
-        det_realizability_check(F, 3, 3, 2, 1)
+        parse_move("W(1,0,1)", 9).apply(s("0,0;0,3;3,0", 27))  # wrong ambient dimension
+    for d in (7, 12):  # no sublattice multiplier off the prime powers p**alpha, alpha >= 2
+        with pytest.raises(PreconditionViolated):
+            parse_move("W(1,0,1)", d)
 
 
 # ---------------------------------------------------------------------------
@@ -129,28 +112,58 @@ def test_det_realizability() -> None:
 
 def test_parse_move_round_trips_labels() -> None:
     d = 27
-    for label in ("P", "R", "V", "Q(2)", "PIVOT(1)", "TRANSLATE(3,24)",
-                  "W(1,1,2)", "RULE(gcd)", "RULE(x3-split)"):
+    for label in ("P", "R", "V", "Q(2)", "PIVOT(1)", "W(1,1,2)",
+                  "RULE(x3-split)", "RULE(xz3-residue-invert)"):
         mv = parse_move(label, d)
         assert mv.label == label
 
 
 def test_parse_move_rejects_unknown() -> None:
-    for bad in ("", "B", "Q", "PIVOT(x)", "RULE(nope)", "W(1,1)"):
-        with pytest.raises(ValueError):
+    for bad in ("", "B", "Q", "PIVOT(x)", "RULE(nope)", "W(1,1)", "TRANSLATE(3,24)",
+                "RULE(gcd)", "RULE(unit-drop2)", "P\n", "Q(3)", "Q(0)"):
+        with pytest.raises(PreconditionViolated):
             parse_move(bad, 27)
+    for label, d in (("P", 0), ("P", 1), ("W(1,0,1)", 1), ("RULE(x3-split)", -2),
+                     ("RULE(x3-split)", 12)):
+        with pytest.raises(PreconditionViolated):
+            parse_move(label, d)
+
+
+def test_parse_move_builds_or_refuses_any_input() -> None:
+    """Arbitrary text at any small d gives a Move or PreconditionViolated."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    labels = st.one_of(
+        st.text(max_size=24),
+        st.from_regex(r"(P|R|V|Q\(-?\d{1,3}\)|PIVOT\(\d{1,2}\)|W\(\d,\d,\d{1,2}\)"
+                      r"|RULE\([a-z0-9-]{0,26}\))", fullmatch=True),
+        st.sampled_from([mv.label for mv in rule_catalog(27)]),
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(labels, st.integers(min_value=-2, max_value=40))
+    def check(label: str, d: int) -> None:
+        try:
+            assert isinstance(parse_move(label, d), Move)
+        except PreconditionViolated:
+            pass
+
+    check()
 
 
 def test_rule_catalog_availability() -> None:
-    assert [m.label for m in rule_catalog(7)] == ["RULE(gcd)"]
-    labels9 = [m.label for m in rule_catalog(9)]
-    labels27 = [m.label for m in rule_catalog(27)]
-    assert "RULE(unit-drop2)" in labels9
-    assert "RULE(unit-drop2)" not in labels27  # square-only family
-    for lab in ("RULE(x3-sign-flip)", "RULE(xz3-residue-invert)",
-                "RULE(z3-axis-swap)"):
-        assert lab in labels9 and lab in labels27
-    assert len(set(labels9)) == len(labels9)
+    """The catalog is exactly the rules the enumerator emits."""
+    for d in range(2, 33):
+        pa = prime_power(d)
+        if pa is None or pa[1] == 1:
+            continue
+        moves = _triples_state(d)[3]
+        emitted = {label for label, _, _ in moves if label.startswith("RULE(")}
+        labels = [m.label for m in rule_catalog(d)]
+        assert len(labels) == len(set(labels)) == 4
+        assert set(labels) == emitted, d
+    assert rule_catalog(7) == []
+    assert rule_catalog(12) == []
 
 
 def test_rules_parse_back_from_their_labels() -> None:
@@ -160,21 +173,23 @@ def test_rules_parse_back_from_their_labels() -> None:
 
 
 def test_rule_guards_refuse_nonmatching_sets() -> None:
-    unit_drop = parse_move("RULE(unit-drop2)", 9)
-    with pytest.raises(GuardFailed):
-        unit_drop.apply(s("0,0;0,1;1,0", 9))
-    assert unit_drop.apply(s("0,0;0,3;6,0", 9)).to_text() == "0,0;0,3;3,0"
     split = parse_move("RULE(x3-split)", 27)
     with pytest.raises(GuardFailed):
         split.apply(s("0,0;0,3;3,0", 27))  # depths too shallow to split
+    with pytest.raises(GuardFailed):
+        split.apply(s("0,0;0,9;18,9", 27))  # a Z-tail is xz3-split's case
+    with pytest.raises(GuardFailed):
+        split.apply(s("0,0;0,9", 27))  # not a triple
     assert split.apply(s("0,0;0,9;18,0", 27)).to_text() == "0,0;0,9;9,0"
 
 
 def test_move_applies_probe() -> None:
-    mv = parse_move("RULE(gcd)", 12)
-    assert mv.applies(s("0,0;4,6", 12))
-    assert mv.apply(s("0,0;4,6", 12)).to_text() == "0,0;0,2"
-    assert not mv.applies(s("0,0;0,1;1,0", 12))
+    mv = parse_move("RULE(xz3-residue-invert)", 9)
+    assert mv.applies(s("0,0;0,1;3,2", 9))
+    assert mv.apply(s("0,0;0,1;3,2", 9)).to_text() == "0,0;0,1;6,5"  # 1/2 = 5 mod 9
+    assert not mv.applies(s("0,0;0,1;3,3", 9))  # residue 3 is not invertible
+    assert not mv.applies(s("0,0;0,2;3,2", 9))  # Z^2 is not a chain step
+    assert not mv.applies(s("0,0;0,1;3,2", 27))
 
 
 def test_apply_trace_composes() -> None:
@@ -187,11 +202,6 @@ def test_apply_trace_composes() -> None:
     assert apply_trace(S, []).to_text() == S.to_text()
 
 
-def test_translate_move_shifts_members() -> None:
-    mv = parse_move("TRANSLATE(1,2)", 9)
-    assert mv.apply(s("0,0;0,1", 9)).to_text() == "1,2;1,3"
-
-
 # ---------------------------------------------------------------------------
 # Soundness spot checks (the property suite sweeps these at scale).
 # ---------------------------------------------------------------------------
@@ -201,7 +211,8 @@ def test_moves_preserve_invariants_spot() -> None:
     d = 9
     S = s("0,0;0,1;3,2", d)
     key = invariant_vector(S).key()
-    for label in ("P", "R", "V", "Q(2)", "PIVOT(1)", "TRANSLATE(4,7)"):
+    for label in ("P", "R", "V", "Q(2)", "PIVOT(1)", "PIVOT(2)",
+                  "RULE(xz3-residue-invert)", "RULE(xz3-residue-flip-invert)"):
         T = parse_move(label, d).apply(S)
         assert invariant_vector(T).key() == key, label
 
@@ -210,5 +221,5 @@ def test_w_move_preserves_invariants_on_lattice() -> None:
     S = s("0,0;0,3;3,0", 27)
     key = invariant_vector(S).key()
     for k in (1, 2):
-        T = w_move(S, 3, 3, 1, 1, k)
+        T = parse_move(f"W(1,1,{k})", 27).apply(S)
         assert invariant_vector(T).key() == key

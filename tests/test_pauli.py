@@ -18,7 +18,6 @@ from gbsclass.pauli import (
     GpmSet,
     PowerOutOfRange,
     default_probes,
-    diff_table,
     gpm_dagger,
     gpm_product,
     gpm_trace,
@@ -129,14 +128,6 @@ def test_normalized_rejects_repeats() -> None:
 def test_translated_wraps() -> None:
     S = s("0,0;0,1;3,0", 9).translated((7, 8))
     assert S.members == ((7, 8), (7, 0), (1, 8))
-
-
-def test_diff_table_shape() -> None:
-    S = s("0,0;0,1;3,0", 9)
-    table = diff_table(S)
-    assert len(table) == 3 and all(len(row) == 3 for row in table)
-    assert table[0][0] == (0, 0)
-    assert table[1][2] == (3, 8)  # (3,0) - (0,1) mod 9
 
 
 # ---------------------------------------------------------------------------
