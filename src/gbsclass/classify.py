@@ -3,9 +3,9 @@
 The classifier enumerates every normalized exponent set {identity, v} or
 {identity, v1, v2} as a packed integer and evaluates the move list of
 :func:`gbsclass.moves.enumerator_moves` on the whole universe at once:
-P and R, which generate every determinant-one exponent map mod d, the
-pivots, and on triples at prime powers every W(s, t, k) and the four
-rewrite rules.  A move is stored as its arrows only, the int32 pairs
+P and R, which generate every determinant-one exponent map mod d,
+PIVOT(1), and on triples at prime powers one W(s, t, 1) per sublattice
+and the split rule.  A move is stored as its arrows only, the int32 pairs
 (state, image) with image != state, and a guarded move is evaluated on
 the states inside its guard alone.
 
@@ -184,8 +184,7 @@ def _array_tables(d: int) -> Tables | None:
     if tab is None:
         return None
     return replace(tab, vp=np.array(tab.vp, dtype=np.int8),
-                   pw=np.array(tab.pw, dtype=np.int64),
-                   inv=np.array(tab.inv, dtype=np.int64))
+                   pw=np.array(tab.pw, dtype=np.int64))
 
 
 Arrows = tuple[str, np.ndarray, np.ndarray]
@@ -216,32 +215,22 @@ def _restrict(members: list, keep: np.ndarray) -> list:
 def _triples_moves(
     d: int, M1: np.ndarray, M2: np.ndarray, slot: np.ndarray
 ) -> list[Arrows]:
-    """Every move as arrows; a guarded move is evaluated on its states only.
-
-    Consecutive moves of one family share their domain guard, which is
-    evaluated once per family.
-    """
+    """Every move as arrows; a guarded move is evaluated on its states only."""
     n2 = d * d
     universe = [(0, 0), (M1 // d, M1 % d), (M2 // d, M2 % d)]
 
-    def arrows(mv: Move, src: np.ndarray, members: list) -> Arrows:
-        if mv.guard is not None:
-            keep = mv.guard(members)
-            src, members = src[keep], _restrict(members, keep)
+    def arrows(mv: Move) -> Arrows:
+        if mv.guard is None:
+            src, members = np.arange(M1.shape[0], dtype=np.int64), universe
+        else:
+            src = np.flatnonzero(mv.guard(universe))
+            members = _restrict(universe, src)
         _, (a1, b1), (a2, b2) = mv.image(members)
         u1 = (a1 % d) * d + (b1 % d)
         u2 = (a2 % d) * d + (b2 % d)
         return _arrows(mv.label, src, slot[np.minimum(u1, u2) * n2 + np.maximum(u1, u2)])
 
-    moves = []
-    domain, states, members = None, np.arange(M1.shape[0], dtype=np.int64), universe
-    for mv in enumerator_moves(d, 3, _array_tables(d)):
-        if mv.domain is not domain:
-            domain = mv.domain
-            states = np.flatnonzero(domain(universe))
-            members = _restrict(universe, states)
-        moves.append(arrows(mv, states, members))
-    return moves
+    return [arrows(mv) for mv in enumerator_moves(d, 3, _array_tables(d))]
 
 
 def _components(n: int, moves: list[Arrows]) -> np.ndarray:

@@ -12,19 +12,23 @@ Pauli set to another inside the same local-unitary class:
   exists on prime-power dimensions, fixes Z^(p^s), and multiplies the
   X-exponent of every member of the sublattice {x = 0 mod p^t,
   z = 0 mod p^s} by k*p^(alpha-s-t) + 1;
-* four rewrite rules on the chain triples {I, Z^(p^v), X^x Z^z} with
-  x != 0 and p^v | z: the two tensor-split collapses, which reduce the
-  unit in front of a maximal-order X-part to 1, and the two bracket
-  rewrites of the shear residue z / p^v.
+* the tensor-split rewrite RULE(x3-split) of the chain triples
+  {I, Z^(p^v), X^x} with v + vp(x) >= alpha, which reduces the unit in
+  front of the X-part to 1.
+
+The enumerator uses the smallest of these sets that gives the same
+partition: P, R, PIVOT(1), one W(s, t, 1) per sublattice and the split
+rule.  The other moves (V, Q(k), PIVOT(j) and W(s, t, k) for every k)
+stay available to witness replay and to the tests.
 
 A move is an exponent map plus its guard.  Both are written once, with
 arithmetic that gives the same result on plain ints and on numpy arrays:
-``+ - * // %``, comparisons, ``&`` and lookups in the per-dimension
+``+ - * %``, comparisons, ``&`` and lookups in the per-dimension
 :class:`Tables`.  The enumerator in :mod:`gbsclass.classify` evaluates
 :func:`enumerator_moves` on a whole universe of sets at once; a witness
 is replayed by :func:`parse_move` / :func:`apply_trace`, which evaluate
 the same map and guard on one set's ints.  Labels look like "P", "Q(5)",
-"PIVOT(2)", "W(1,0,2)" and "RULE(xz3-split)".
+"PIVOT(2)", "W(1,0,2)" and "RULE(x3-split)".
 """
 
 from __future__ import annotations
@@ -64,11 +68,9 @@ class Tables:
     serves an int and an int array alike.
     """
 
-    p: int
     alpha: int
     vp: Sequence[int]  # p-adic valuation of each residue mod d, alpha for 0
     pw: Sequence[int]  # p**v for v = 0..alpha
-    inv: Sequence[int]  # inverse mod d of each residue prime to p, 0 for the rest
 
 
 @lru_cache(maxsize=16)
@@ -84,30 +86,21 @@ def tables(d: int) -> Tables | None:
         while x % p ** (v + 1) == 0:
             v += 1
         vp[x] = v
-    return Tables(
-        p,
-        alpha,
-        tuple(vp),
-        tuple(p**v for v in range(alpha + 1)),
-        tuple(pow(x, -1, d) if x % p else 0 for x in range(d)),
-    )
+    return Tables(alpha, tuple(vp), tuple(p**v for v in range(alpha + 1)))
 
 
 @dataclass(frozen=True)
 class Move:
-    """A labeled move: its exponent map, its guards, and their replay on a set.
+    """A labeled move: its exponent map, its guard, and their replay on a set.
 
     ``image`` maps a set's members to their images, and returns the
-    identity first whenever the identity comes first.  ``domain`` is a
-    guard shared by a family of moves (one W lattice, the rule chain),
-    which the enumerator evaluates once per family; ``guard`` is the
-    move's own condition inside that domain.
+    identity first whenever the identity comes first.  ``guard``, when
+    set, selects the sets the move applies to.
     """
 
     label: str
     d: int
     image: Callable[[Members], Members]
-    domain: Guard | None = None
     guard: Guard | None = None
 
     def apply(self, S: GpmSet) -> GpmSet:
@@ -116,9 +109,8 @@ class Move:
             raise PreconditionViolated(
                 f"{self.label} at d={self.d} applied to a set mod {S.d}")
         ms = sorted(S.members)
-        for guard in (self.domain, self.guard):
-            if guard is not None and not guard(ms):
-                raise GuardFailed(f"{self.label} does not apply to {S.to_text()}")
+        if self.guard is not None and not self.guard(ms):
+            raise GuardFailed(f"{self.label} does not apply to {S.to_text()}")
         d = self.d
         return GpmSet(d, tuple(sorted((x % d, z % d) for x, z in self.image(ms))))
 
@@ -165,88 +157,66 @@ def _lattice(tab: Tables, s: int, t: int) -> Guard:
     """Every member lies in {x = 0 mod p**t, z = 0 mod p**s}."""
     vp = tab.vp
 
-    def domain(ms: Members) -> Any:
+    def lattice(ms: Members) -> Any:
         inside = True
         for x, z in ms:
             inside = inside & (vp[x] >= t) & (vp[z] >= s)
         return inside
 
-    return domain
+    return lattice
 
 
-def _w(d: int, tab: Tables, s: int, t: int, k: int, lattice: Guard) -> Move:
+def _w(d: int, tab: Tables, s: int, t: int, k: int) -> Move:
     """W(s, t, k) on the lattice of (s, t); needs 1 <= s, 0 <= t, s + t < alpha."""
     u = (k * tab.pw[tab.alpha - s - t] + 1) % d
-    return Move(f"W({s},{t},{k})", d, lambda ms: [(x * u, z) for x, z in ms], lattice)
+    return Move(f"W({s},{t},{k})", d, lambda ms: [(x * u, z) for x, z in ms],
+                _lattice(tab, s, t))
 
 
-def _rules(d: int, tab: Tables) -> list[Move]:
-    """The rewrites of the chain triples, in the enumerator's order.
+def _split(d: int, tab: Tables) -> Move:
+    """RULE(x3-split): {I, Z^(p^v), u X^(p^w)} -> {I, Z^(p^v), X^(p^w)}.
 
-    A chain triple is the normalized {I, Z^(p^v), X^x Z^z} with x != 0
-    and p^v | z; its middle member's z-exponent is the chain step p^v
-    itself, so v = vp[t1] and the shear residue is t2 // t1.
+    It applies to the normalized triples {I, Z^(p^v), X^x} with x != 0
+    and v + vp(x) >= alpha, where Z^(p^v) commutes with X^x.  The middle
+    member's z-exponent is the chain step p^v itself, so v = vp[t1].
     """
-    alpha, p, vp, pw, inv = tab.alpha, tab.p, tab.vp, tab.pw, tab.inv
+    alpha, vp, pw = tab.alpha, tab.vp, tab.pw
 
-    def chain(ms: Members) -> Any:
+    def guard(ms: Members) -> Any:
         if len(ms) != 3 or ms[0] != (0, 0):
             return False
         (s1, t1), (s2, t2) = ms[1], ms[2]
-        return (s1 == 0) & (t1 == pw[vp[t1]]) & (s2 != 0) & (vp[t2] >= vp[t1])
+        return ((s1 == 0) & (t1 == pw[vp[t1]]) & (s2 != 0) & (t2 == 0)
+                & (vp[s2] + vp[t1] >= alpha))
 
-    def deep(ms: Members) -> Any:
-        """Z^(p^v) commutes with the third member: v + vp(x) >= alpha."""
-        return vp[ms[2][0]] + vp[ms[1][1]] >= alpha
+    def image(ms: Members) -> Members:
+        return [ms[0], ms[1], (pw[vp[ms[2][0]]], 0)]
 
-    def split(ms: Members) -> Members:
-        s2, t2 = ms[2]
-        return [ms[0], ms[1], (pw[vp[s2]], t2)]
-
-    def residue(ms: Members) -> Any:
-        return ms[2][1] // ms[1][1]
-
-    def invert(ms: Members) -> Members:
-        (_, t1), (s2, _) = ms[1], ms[2]
-        return [ms[0], ms[1], (-s2, t1 * inv[residue(ms)])]
-
-    def flip_invert(ms: Members) -> Members:
-        (_, t1), (s2, _) = ms[1], ms[2]
-        return [ms[0], ms[1], (s2, t1 * inv[(1 - residue(ms)) % d])]
-
-    return [
-        Move("RULE(x3-split)", d, split, chain,
-             lambda ms: deep(ms) & (ms[2][1] == 0)),
-        Move("RULE(xz3-split)", d, split, chain,
-             lambda ms: deep(ms) & (ms[2][1] != 0)),
-        Move("RULE(xz3-residue-invert)", d, invert, chain,
-             lambda ms: residue(ms) % p != 0),
-        Move("RULE(xz3-residue-flip-invert)", d, flip_invert, chain,
-             lambda ms: (1 - residue(ms)) % p != 0),
-    ]
+    return Move("RULE(x3-split)", d, image, guard)
 
 
 def enumerator_moves(d: int, size: int, tab: Tables | None = None) -> list[Move]:
     """The moves the enumerator evaluates on normalized sets of ``size`` members.
 
-    The order fixes which move each witness step takes.  Triples also get
-    the W and RULE moves when ``tab`` (the tables at d) is given.
+    P, R and PIVOT(1); on triples, when ``tab`` (the tables at d) is
+    given, also one W(s, t, 1) per sublattice and the split rule.  Adding
+    PIVOT(2) or W(s, t, k) with k > 1 leaves the partition unchanged at
+    every d <= 32 and at d = 49 and 64.  The order fixes which move each
+    witness step takes.
     """
     moves = [_linear(label, d, _LINEAR[label]) for label in ("P", "R")]
-    moves += [_pivot(d, j) for j in range(1, size)]
+    moves.append(_pivot(d, 1))
     if size == 3 and tab is not None:
-        for s in range(1, tab.alpha):
-            for t in range(tab.alpha - s):
-                lattice = _lattice(tab, s, t)
-                moves += [_w(d, tab, s, t, k, lattice) for k in range(1, tab.pw[s])]
-        moves += _rules(d, tab)
+        moves += [_w(d, tab, s, t, 1)
+                  for s in range(1, tab.alpha) for t in range(tab.alpha - s)]
+        moves.append(_split(d, tab))
     return moves
 
 
 def rule_catalog(d: int) -> list[Move]:
     """The named rewrite rules the enumerator uses at dimension d."""
     tab = tables(d)
-    return [] if tab is None else _rules(d, tab)
+    return [] if tab is None else [_split(d, tab)]
 
 
 _MOVE_RE = re.compile(
@@ -290,16 +260,19 @@ def parse_move(label: str, d: int) -> Move:
             raise PreconditionViolated(
                 f"W(s,t,k) needs s >= 1, s + t < {tab.alpha} and 1 <= k < p**s, "
                 f"got {label}")
-        return _w(d, tab, s, t, k, _lattice(tab, s, t))
-    for rule in _rules(d, tab):
-        if rule.label == f"RULE({m['rule']})":
-            return rule
+        return _w(d, tab, s, t, k)
+    if m["rule"] == "x3-split":
+        return _split(d, tab)
     raise PreconditionViolated(f"unknown rule {m['rule']!r} at dimension {d}")
 
 
 def apply_trace(S: GpmSet, labels: list[str]) -> GpmSet:
-    """Replay a serialized move trace on a normalized set."""
+    """Replay a serialized move trace on a normalized set.
+
+    Each distinct label is parsed once; every step still checks its guard.
+    """
+    moves = {label: parse_move(label, S.d) for label in dict.fromkeys(labels)}
     cur = GpmSet(S.d, tuple(sorted(S.members)))
     for label in labels:
-        cur = parse_move(label, S.d).apply(cur)
+        cur = moves[label].apply(cur)
     return cur

@@ -113,10 +113,8 @@ class GpmSet:
                 s, t = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise ValueError(f"bad member {chunk!r}: {exc}") from None
-            members.append((s % d, t % d))
-        if len(set(members)) != len(members):
-            raise ValueError("set members must be distinct")
-        return cls(d, tuple(sorted(members)))
+            members.append((s, t))
+        return cls(d, tuple(members)).normalized()
 
     def to_text(self) -> str:
         return ";".join(f"{s},{t}" for s, t in self.members)

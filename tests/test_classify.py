@@ -174,34 +174,59 @@ def test_pair_orbit_sizes_cover_universe() -> None:
 
 
 TRIPLE_COUNTS = {
-    2: 1, 3: 2, 4: 4, 5: 3, 6: 9, 7: 5, 8: 12, 9: 9,
-    12: 27, 16: 28, 25: 21, 27: 32, 32: 60,
+    2: 1, 3: 2, 4: 4, 5: 3, 6: 9, 7: 5, 8: 12, 9: 9, 10: 13, 11: 7, 12: 27,
+    13: 9, 14: 19, 15: 20, 16: 28, 17: 11, 18: 37, 19: 13, 20: 39, 21: 30,
+    22: 27, 23: 15, 24: 72, 25: 21, 26: 33, 27: 32, 28: 55, 29: 19, 30: 83,
+    31: 21, 32: 60,
 }
 
 
 def test_triple_counts_frozen() -> None:
-    for d, count in TRIPLE_COUNTS.items():
+    for d in (2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 25, 27, 32):
         rep = enumerate_triples(d)
-        assert rep.count == count, d
+        assert rep.count == TRIPLE_COUNTS[d], d
         assert rep.notes == [], d
         expected_status = "VERIFIED" if d in (9, 16, 25) else "VERIFIED_NO_FORMULA"
         assert rep.status == expected_status, d
 
 
-def test_eight_level_merges_need_no_rewrite_rule() -> None:
-    """At d = 8 the dense-checked moves alone give every merge.
+def test_triple_class_counts_every_dimension() -> None:
+    """Every count at d = 2..32, read from the components without labelling."""
+    counts = {d: len(_triples_state(d)[4]) for d in range(2, 33)}
+    assert counts == TRIPLE_COUNTS
 
-    P and R are Cliffords, a pivot multiplies every member by one unitary
-    and W(s, t, k) is an explicit unitary, so the 12 classes are an upper
-    bound that does not rest on the RULE moves, whose soundness is shown
-    only through invariant preservation.
+
+def _ablation(d: int, dropped: str, count: int):
+    return pytest.param(d, dropped, count, id=f"{d}-{dropped}")
+
+
+@pytest.mark.parametrize("d, dropped, count", [
+    # each move of the enumerator is needed somewhere
+    _ablation(4, "P", 11),
+    _ablation(4, "R", 12),
+    _ablation(4, "PIVOT(1)", 6),
+    _ablation(16, "W(1,1,1)", 29),
+    _ablation(25, "RULE(x3-split)", 22),
+    # the split rule adds no merge at these d
+    *(_ablation(d, "RULE(x3-split)", TRIPLE_COUNTS[d]) for d in (4, 8, 9, 16, 27, 32)),
+])
+def test_minimal_move_set(d: int, dropped: str, count: int) -> None:
+    """Dropping one enumerator move gives ``count`` classes.
+
+    Where the count does not change, the roots must not either.  P and R
+    are Cliffords, a pivot multiplies every member by one unitary and
+    W(s, t, k) is an explicit unitary, so at the d where the split rule
+    adds no merge the class count is an upper bound that does not rest on
+    the rule, whose soundness is shown only through invariant
+    preservation.
     """
-    M1, _, _, moves, _, _ = _triples_state(8)
-    unitary = [mv for mv in moves
-               if mv[0] in ("P", "R") or mv[0].startswith(("PIVOT(", "W("))]
-    assert len(unitary) < len(moves)
-    assert (_components(M1.shape[0], unitary)
-            == _components(M1.shape[0], moves)).all()
+    M1, _, _, moves, class_roots, inverse = _triples_state(d)
+    kept = [mv for mv in moves if mv[0] != dropped]
+    assert len(kept) == len(moves) - 1
+    roots = _components(M1.shape[0], kept)
+    assert np.count_nonzero(roots == np.arange(roots.size)) == count
+    if count == class_roots.size:
+        assert (roots == class_roots[inverse]).all()
 
 
 def _assert_arrows_replay(d, n, state_set, moves, rng=None) -> None:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from gbsclass.cli import main
+from gbsclass.config import Config, parse_config
 
 
 def run(*args: str, env: dict | None = None):
@@ -213,3 +215,31 @@ def test_config_errors_are_usage_errors(tmp_path) -> None:
         cfg.write_text(removed)
         res = run("pairs", "--dim", "6", env={"GBSCLASS_CONFIG": str(cfg)})
         assert res.exit_code == 2 and "unknown key" in res.output
+
+
+def test_parse_config_builds_or_refuses_any_input() -> None:
+    """Arbitrary config text gives a Config or a ValueError (exit code 2)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    keys = st.sampled_from(["enum_cap", "format", "i3_a", "powers", "matrix_cap", "x"])
+    values = st.one_of(
+        st.text(max_size=8),
+        st.sampled_from(["text", "json", "csv"]),
+        st.lists(st.integers(-3, 40), min_size=1, max_size=3).map(
+            lambda vs: ",".join(map(str, vs))),
+    )
+    lines = st.one_of(
+        st.text(max_size=30),
+        st.tuples(keys, values).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    )
+    texts = st.lists(lines, max_size=5).map("\n".join)
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(texts)
+    def check(text: str) -> None:
+        try:
+            assert isinstance(parse_config(text), Config)
+        except ValueError:
+            pass
+
+    check()

@@ -112,15 +112,17 @@ def test_w_move_guards() -> None:
 
 def test_parse_move_round_trips_labels() -> None:
     d = 27
-    for label in ("P", "R", "V", "Q(2)", "PIVOT(1)", "W(1,1,2)",
-                  "RULE(x3-split)", "RULE(xz3-residue-invert)"):
+    for label in ("P", "R", "V", "Q(2)", "PIVOT(1)", "PIVOT(2)", "W(1,1,1)", "W(1,1,2)",
+                  "RULE(x3-split)"):
         mv = parse_move(label, d)
         assert mv.label == label
 
 
 def test_parse_move_rejects_unknown() -> None:
     for bad in ("", "B", "Q", "PIVOT(x)", "RULE(nope)", "W(1,1)", "TRANSLATE(3,24)",
-                "RULE(gcd)", "RULE(unit-drop2)", "P\n", "Q(3)", "Q(0)"):
+                "RULE(gcd)", "RULE(unit-drop2)", "RULE(xz3-split)",
+                "RULE(xz3-residue-invert)", "RULE(xz3-residue-flip-invert)",
+                "P\n", "Q(3)", "Q(0)"):
         with pytest.raises(PreconditionViolated):
             parse_move(bad, 27)
     for label, d in (("P", 0), ("P", 1), ("W(1,0,1)", 1), ("RULE(x3-split)", -2),
@@ -158,10 +160,8 @@ def test_rule_catalog_availability() -> None:
         if pa is None or pa[1] == 1:
             continue
         moves = _triples_state(d)[3]
-        emitted = {label for label, _, _ in moves if label.startswith("RULE(")}
-        labels = [m.label for m in rule_catalog(d)]
-        assert len(labels) == len(set(labels)) == 4
-        assert set(labels) == emitted, d
+        emitted = [label for label, _, _ in moves if label.startswith("RULE(")]
+        assert [m.label for m in rule_catalog(d)] == emitted == ["RULE(x3-split)"], d
     assert rule_catalog(7) == []
     assert rule_catalog(12) == []
 
@@ -177,19 +177,19 @@ def test_rule_guards_refuse_nonmatching_sets() -> None:
     with pytest.raises(GuardFailed):
         split.apply(s("0,0;0,3;3,0", 27))  # depths too shallow to split
     with pytest.raises(GuardFailed):
-        split.apply(s("0,0;0,9;18,9", 27))  # a Z-tail is xz3-split's case
+        split.apply(s("0,0;0,9;18,9", 27))  # a Z-tail is not split
     with pytest.raises(GuardFailed):
         split.apply(s("0,0;0,9", 27))  # not a triple
     assert split.apply(s("0,0;0,9;18,0", 27)).to_text() == "0,0;0,9;9,0"
 
 
 def test_move_applies_probe() -> None:
-    mv = parse_move("RULE(xz3-residue-invert)", 9)
-    assert mv.applies(s("0,0;0,1;3,2", 9))
-    assert mv.apply(s("0,0;0,1;3,2", 9)).to_text() == "0,0;0,1;6,5"  # 1/2 = 5 mod 9
-    assert not mv.applies(s("0,0;0,1;3,3", 9))  # residue 3 is not invertible
-    assert not mv.applies(s("0,0;0,2;3,2", 9))  # Z^2 is not a chain step
-    assert not mv.applies(s("0,0;0,1;3,2", 27))
+    mv = parse_move("RULE(x3-split)", 9)
+    assert mv.applies(s("0,0;0,3;6,0", 9))
+    assert mv.apply(s("0,0;0,3;6,0", 9)).to_text() == "0,0;0,3;3,0"
+    assert not mv.applies(s("0,0;0,3;1,0", 9))  # X^1 does not commute with Z^3
+    assert not mv.applies(s("0,0;0,6;3,0", 9))  # Z^6 is not a chain step
+    assert not mv.applies(s("0,0;0,3;6,0", 27))
 
 
 def test_apply_trace_composes() -> None:
@@ -197,7 +197,8 @@ def test_apply_trace_composes() -> None:
     manual = parse_move("P", 9).apply(S)
     manual = parse_move("R", 9).apply(manual)
     manual = parse_move("PIVOT(2)", 9).apply(manual)
-    traced = apply_trace(S, ["P", "R", "PIVOT(2)"])
+    manual = parse_move("P", 9).apply(manual)
+    traced = apply_trace(S, ["P", "R", "PIVOT(2)", "P"])
     assert traced.to_text() == manual.to_text()
     assert apply_trace(S, []).to_text() == S.to_text()
 
@@ -209,12 +210,17 @@ def test_apply_trace_composes() -> None:
 
 def test_moves_preserve_invariants_spot() -> None:
     d = 9
-    S = s("0,0;0,1;3,2", d)
-    key = invariant_vector(S).key()
-    for label in ("P", "R", "V", "Q(2)", "PIVOT(1)", "PIVOT(2)",
-                  "RULE(xz3-residue-invert)", "RULE(xz3-residue-flip-invert)"):
-        T = parse_move(label, d).apply(S)
-        assert invariant_vector(T).key() == key, label
+    for text, labels in (
+        ("0,0;0,1;3,2", ("P", "R", "V", "Q(2)", "PIVOT(1)", "PIVOT(2)")),
+        ("0,0;0,3;1,0", ("W(1,0,1)", "W(1,0,2)")),
+        ("0,0;0,3;6,0", ("RULE(x3-split)",)),
+    ):
+        S = s(text, d)
+        key = invariant_vector(S).key()
+        for label in labels:
+            T = parse_move(label, d).apply(S)
+            assert T != S, label
+            assert invariant_vector(T).key() == key, label
 
 
 def test_w_move_preserves_invariants_on_lattice() -> None:

@@ -115,6 +115,33 @@ def test_from_text_rejects_malformed(bad: str) -> None:
         s(bad, 9)
 
 
+def test_from_text_rejects_small_dimension() -> None:
+    for d in (-2, 0, 1):
+        with pytest.raises(DimensionMismatch):
+            s("0,0;0,1", d)
+
+
+def test_from_text_builds_or_refuses_any_input() -> None:
+    """Arbitrary text at any small d gives a GpmSet or a ValueError."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    members = st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=4)
+    texts = st.one_of(
+        st.text(max_size=24),
+        members.map(lambda ms: ";".join(f"{x},{z}" for x, z in ms)),
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(texts, st.integers(min_value=-2, max_value=40))
+    def check(text: str, d: int) -> None:
+        try:
+            assert isinstance(GpmSet.from_text(text, d), GpmSet)
+        except ValueError:
+            pass
+
+    check()
+
+
 def test_set_needs_two_members() -> None:
     with pytest.raises(ValueError):
         GpmSet(5, ((0, 0),))
