@@ -23,7 +23,7 @@ from .classify import (
 )
 from .config import FORMATS, Config, load_config
 from .oracle import CapExceeded, verification_suite
-from .pauli import GpmSet, PowerOutOfRange, invariant_vector
+from .pauli import GpmSet, PowerOutOfRange, TableTooLarge, invariant_vector
 from .residues import OutOfRange, factorize
 
 EXIT_FAIL = 1
@@ -153,6 +153,9 @@ def invariants(dim: int, set_text: str, a_vals: tuple[int, ...],
             tuple(a_vals) or cfg.i3_probes,
             tuple(pow_vals) or cfg.power_probes,
         )
+    except TableTooLarge as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_RESOURCE)
     except (PowerOutOfRange, OutOfRange) as exc:
         raise click.UsageError(str(exc))
 

@@ -34,7 +34,7 @@ the same map and guard on one set's ints.  Labels look like "P", "Q(5)",
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
 from numbers import Integral
@@ -95,13 +95,17 @@ class Move:
 
     ``image`` maps a set's members to their images, and returns the
     identity first whenever the identity comes first.  ``guard``, when
-    set, selects the sets the move applies to.
+    set, selects the sets the move applies to.  ``within``, when set, is
+    the label of an earlier enumerator move whose guard holds wherever
+    this one's does, so the enumerator evaluates this guard only on the
+    sets inside that one; replay ignores it.
     """
 
     label: str
     d: int
     image: Callable[[Members], Members]
     guard: Guard | None = None
+    within: str | None = None
 
     def apply(self, S: GpmSet) -> GpmSet:
         """The image of S, whose members are read in sorted order."""
@@ -202,13 +206,17 @@ def enumerator_moves(d: int, size: int, tab: Tables | None = None) -> list[Move]
     given, also one W(s, t, 1) per sublattice and the split rule.  Adding
     PIVOT(2) or W(s, t, k) with k > 1 leaves the partition unchanged at
     every d <= 32 and at d = 49 and 64.  The order fixes which move each
-    witness step takes.
+    witness step takes.  The lattice of (s, t) lies inside those of
+    (s, t - 1) and (s - 1, 0), which come earlier, so each W names one of
+    them as ``within``.
     """
     moves = [_linear(label, d, _LINEAR[label]) for label in ("P", "R")]
     moves.append(_pivot(d, 1))
     if size == 3 and tab is not None:
-        moves += [_w(d, tab, s, t, 1)
-                  for s in range(1, tab.alpha) for t in range(tab.alpha - s)]
+        for s in range(1, tab.alpha):
+            for t in range(tab.alpha - s):
+                within = f"W({s},{t - 1},1)" if t else f"W({s - 1},0,1)" if s > 1 else None
+                moves.append(replace(_w(d, tab, s, t, 1), within=within))
         moves.append(_split(d, tab))
     return moves
 

@@ -11,6 +11,15 @@ the classifier all reduce to integer arithmetic on those pairs:
 * a power of a Pauli scales its exponent vector, so trace conditions
   become divisibility counts.
 
+One numpy kernel, :func:`invariant_table`, computes all three invariants
+of a set and of its powered sets at once: it builds the difference
+vectors once and scales them by every power.  The powered set t*S has
+I2 and I3 counts that depend on t only through m = d / gcd(t, d), since
+t*u = 0 mod d exactly when u = 0 mod m; so those counts are computed once
+per distinct m, working mod m.  :func:`invariant1`, :func:`invariant2`,
+:func:`invariant3` and :func:`invariant_vector` are views of the kernel,
+and every value they return is a Python int.
+
 Nothing in this module touches matrices; the dense cross-check lives in
 :mod:`gbsclass.oracle`.
 """
@@ -18,13 +27,23 @@ Nothing in this module touches matrices; the dense cross-check lives in
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .residues import factorize
 
 Vec = tuple[int, int]
+
+MAX_I2_ENTRIES = 3 * 10**6
+"""Most I2 entries :func:`invariant_vector` builds: (d - 1) per block, one
+block for the set and one per power.  d = 10**6 with the default probes
+needs 3 * (d - 1)."""
+
+_QUERY_CHUNK = 1 << 16
+"""Most count lookups :func:`invariant_table` makes at once; it bounds the
+I3 temporaries whatever the number of shifts."""
 
 
 class DimensionMismatch(ValueError):
@@ -33,6 +52,10 @@ class DimensionMismatch(ValueError):
 
 class PowerOutOfRange(ValueError):
     """Probe exponent outside the open interval (0, d)."""
+
+
+class TableTooLarge(ValueError):
+    """The invariant tables asked for exceed MAX_I2_ENTRIES."""
 
 
 @dataclass(frozen=True)
@@ -131,12 +154,6 @@ class GpmSet:
                                     for s, t in self.members))
 
 
-def _flat_diffs(S: GpmSet) -> list[Vec]:
-    d = S.d
-    ms = S.members
-    return [((sj - si) % d, (tj - ti) % d) for si, ti in ms for sj, tj in ms]
-
-
 @dataclass(frozen=True)
 class CosFingerprint:
     """Exact form of the commutator invariant: a multiset of cosine arguments.
@@ -156,30 +173,92 @@ class CosFingerprint:
         return float(sum(2.0 - 2.0 * math.cos(2.0 * math.pi * m / d) for m in self.args))
 
 
-def invariant1(S: GpmSet) -> CosFingerprint:
-    """Commutator invariant of the set, in exact fingerprint form."""
-    d = S.d
-    diffs = _flat_diffs(S)
-    args = sorted(
-        min(m, d - m)
-        for a in diffs
-        for b in diffs
-        for m in [(a[1] * b[0] - a[0] * b[1]) % d]
-    )
-    return CosFingerprint(d=d, args=tuple(args))
-
-
 def _check_probe(a: int, d: int) -> None:
     if not 0 < a < d:
         raise PowerOutOfRange(f"probe must satisfy 0 < a < {d}, got {a}")
+
+
+InvariantRow = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+"""One powered set's invariants: sorted folded I1 arguments, I2 at
+a = 1..d-1, and I3 at each requested shift."""
+
+
+def _counts(diffs: np.ndarray, moduli: np.ndarray, d: int,
+            shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I2 at a = 1..d-1 and I3 at every shift, one row per modulus m.
+
+    ``diffs`` are the difference vectors u of S; row k serves every
+    powered set t*S with d / gcd(t, d) = m = moduli[k].  Its differences
+    are t*u, and t*y = 0 mod d exactly when y = 0 mod m.  So I2(a) counts
+    the u with a*u = 0 mod m, the u whose order m / gcd(u, m) divides a;
+    as that order divides d, I2(a) depends on gcd(a, d) only and is
+    evaluated once per divisor.  I3(a) sums, over u, the number of
+    differences = -a*u mod m times the number = (a-1)*u mod m.
+    """
+    m = moduli[:, None]
+    x, z = diffs[:, 0] % m, diffs[:, 1] % m
+    order = m // np.gcd(np.gcd(x, z), m)
+    divisors = np.flatnonzero(d % np.arange(1, d) == 0) + 1
+    i2 = np.zeros((moduli.shape[0], d), dtype=np.int64)
+    i2[:, divisors] = np.count_nonzero(divisors[:, None] % order[:, None, :] == 0, axis=2)
+    # a difference is coded x*m + z, in its own range of d*d codes per modulus
+    offset = np.arange(moduli.shape[0])[:, None] * d * d
+    ranked = np.sort((x * m + z + offset).ravel())
+    m, offset, x, z = m[:, None], offset[:, None], x[:, None], z[:, None]
+    step = max(1, _QUERY_CHUNK // (2 * ranked.shape[0]))
+    i3 = [np.zeros((moduli.shape[0], 0), dtype=np.int64)]
+    for lo in range(0, shifts.shape[0], step):
+        a = shifts[lo:lo + step]
+        c = np.concatenate([-a, a - 1])[:, None]
+        query = (c * x) % m * m + (c * z) % m + offset
+        n = (np.searchsorted(ranked, query, side="right")
+             - np.searchsorted(ranked, query, side="left"))
+        i3.append((n[:, :a.shape[0]] * n[:, a.shape[0]:]).sum(axis=2))
+    return i2[:, np.gcd(np.arange(1, d), d)], np.concatenate(i3, axis=1)
+
+
+def invariant_table(
+    S: GpmSet, powers: Sequence[int], shifts: Sequence[int]
+) -> list[InvariantRow]:
+    """The exact invariants of every powered set t*S, t in ``powers``.
+
+    Row k belongs to ``powers[k]`` (t = 1 is S itself) and holds the
+    sorted folded I1 arguments, the I2 count at every a in 1..d-1 and the
+    I3 count at every shift, all as Python ints.  Bad powers or shifts
+    raise PowerOutOfRange, shifts checked first.
+    """
+    d = S.d
+    for a in (*shifts, *powers):
+        _check_probe(a, d)
+    if not powers:
+        return []
+    members = np.array(S.members, dtype=np.int64)
+    # ordered pairs (i, j) in row-major order give the difference v_j - v_i
+    diffs = ((members[None, :, :] - members[:, None, :]) % d).reshape(-1, 2)
+    x, z = diffs[:, 0], diffs[:, 1]
+    form = ((z[:, None] * x - x[:, None] * z) % d).ravel()
+    t = np.array(powers, dtype=np.int64)
+    args = (t * t % d)[:, None] * form % d
+    args = np.sort(np.minimum(args, d - args), axis=1)
+    # the I2 and I3 counts of t*S depend on t only through d / gcd(t, d)
+    moduli = [d // math.gcd(p, d) for p in powers]
+    distinct = sorted(set(moduli))
+    i2, i3 = _counts(diffs, np.array(distinct, dtype=np.int64), d,
+                     np.array(shifts, dtype=np.int64))
+    counts = dict(zip(distinct, zip(map(tuple, i2.tolist()), map(tuple, i3.tolist()))))
+    return [(tuple(row), *counts[m]) for row, m in zip(args.tolist(), moduli)]
+
+
+def invariant1(S: GpmSet) -> CosFingerprint:
+    """Commutator invariant of the set, in exact fingerprint form."""
+    return CosFingerprint(d=S.d, args=invariant_table(S, (1,), ())[0][0])
 
 
 def invariant2(S: GpmSet, a: int) -> int:
     """Power-trace invariant: how many ordered pairs (i, j) have (M_i^+ M_j)^a
     proportional to the identity, i.e. a * v_ij = 0 mod d."""
     _check_probe(a, S.d)
-    d = S.d
-    return sum(1 for v in _flat_diffs(S) if (a * v[0]) % d == 0 and (a * v[1]) % d == 0)
+    return invariant_table(S, (1,), ())[0][1][a - 1]
 
 
 def invariant3(S: GpmSet, a: int) -> int:
@@ -189,16 +268,7 @@ def invariant3(S: GpmSet, a: int) -> int:
     (1-a)*v_ij + v_wl both vanish mod d; each such tuple contributes a
     unit modulus, so the sum is an integer and is computed as one.
     """
-    _check_probe(a, S.d)
-    d = S.d
-    diffs = _flat_diffs(S)
-    cnt = Counter(diffs)
-    total = 0
-    for v in diffs:
-        left = ((-a * v[0]) % d, (-a * v[1]) % d)
-        right = (((a - 1) * v[0]) % d, ((a - 1) * v[1]) % d)
-        total += cnt[left] * cnt[right]
-    return total
+    return invariant_table(S, (1,), (a,))[0][2][0]
 
 
 def powered_set(S: GpmSet, t: int) -> GpmSet:
@@ -266,22 +336,30 @@ def invariant_vector(
 
     i2 is evaluated at every a in 1..d-1; i3 at the given probes (default
     per :func:`default_probes`); each power probe t contributes the
-    invariants of the powered set.
+    invariants of the powered set.  Raises TableTooLarge, before any
+    other work, when the i2 tables would exceed MAX_I2_ENTRIES; default
+    power probes are counted as two, the most :func:`default_probes`
+    gives.
     """
     d = S.d
+    blocks = 1 + (2 if power_probes is None else len(power_probes))
+    if (d - 1) * blocks > MAX_I2_ENTRIES:
+        raise TableTooLarge(
+            f"{blocks} I2 tables of {d - 1} entries exceed the cap of "
+            f"{MAX_I2_ENTRIES} entries")
     auto_i3, auto_pow = default_probes(d)
-    i3p: Iterable[int] = i3_probes if i3_probes is not None else auto_i3
-    powp: Iterable[int] = power_probes if power_probes is not None else auto_pow
-    i3p = tuple(i3p)
-    powp = tuple(powp)
-    i2 = {a: invariant2(S, a) for a in range(1, d)}
-    i3 = {a: invariant3(S, a) for a in i3p}
-    powered: dict[int, PoweredInvariants] = {}
-    for t in powp:
-        St = powered_set(S, t)
-        powered[t] = PoweredInvariants(
-            i1=invariant1(St),
-            i2={a: invariant2(St, a) for a in range(1, d)},
-            i3={a: invariant3(St, a) for a in i3p},
-        )
-    return InvariantVector(i1=invariant1(S), i2=i2, i3=i3, powered=powered)
+    i3p = tuple(auto_i3 if i3_probes is None else i3_probes)
+    powp = tuple(auto_pow if power_probes is None else power_probes)
+    rows = invariant_table(S, (1, *powp), i3p)
+    keys = list(range(1, d))  # one int object per a, shared by every block
+
+    def block(row: InvariantRow) -> PoweredInvariants:
+        args, i2, i3 = row
+        return PoweredInvariants(CosFingerprint(d, args), dict(zip(keys, i2)),
+                                 dict(zip(i3p, i3)))
+
+    base = block(rows[0])
+    return InvariantVector(
+        i1=base.i1, i2=base.i2, i3=base.i3,
+        powered={t: block(row) for t, row in zip(powp, rows[1:])},
+    )

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
 from gbsclass.cli import main
 from gbsclass.config import Config, parse_config
+from gbsclass.pauli import MAX_I2_ENTRIES
 
 
 def run(*args: str, env: dict | None = None):
@@ -133,6 +135,25 @@ def test_invariants_csv() -> None:
 def test_invariants_bad_set_is_usage_error() -> None:
     assert run("invariants", "--dim", "9", "--set", "0,0;0,1;0,1").exit_code == 2
     assert run("invariants", "--dim", "9", "--set", "zzz").exit_code == 2
+
+
+def test_invariants_table_cap_exits_before_allocating() -> None:
+    """An I2 table past MAX_I2_ENTRIES is refused with exit 3, not built."""
+    assert 3 * (10**6 - 1) <= MAX_I2_ENTRIES  # d = 10**6 with default probes runs
+    cases = [
+        ("--dim", "1000000000", "--set", "0,0;0,1;3,0"),
+        ("--dim", "1000000", "--set", "0,0;0,1", "--pow", "2", "--pow", "4", "--pow", "8"),
+    ]
+    for args in cases:
+        tracemalloc.start()
+        try:
+            res = run("invariants", *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 3, res.output
+        assert "exceed the cap" in res.output
+        assert peak < 2**20, peak
 
 
 # ---------------------------------------------------------------------------

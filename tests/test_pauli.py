@@ -2,15 +2,18 @@
 
 Expected invariant values for specific sets were cross-checked against the
 dense-matrix oracle before being frozen here; the oracle agreement itself
-is tested separately and exhaustively in the acceptance suite.
+is tested separately and exhaustively in the acceptance suite.  The numpy
+invariant kernel is checked against the scalar definitions kept below.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
+from gbsclass import pauli
 from gbsclass.pauli import (
     CosFingerprint,
     DimensionMismatch,
@@ -24,6 +27,7 @@ from gbsclass.pauli import (
     invariant1,
     invariant2,
     invariant3,
+    invariant_table,
     invariant_vector,
     powered_set,
 )
@@ -31,6 +35,54 @@ from gbsclass.pauli import (
 
 def s(text: str, d: int) -> GpmSet:
     return GpmSet.from_text(text, d)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference invariants: the definitions, one tuple at a time.
+# ---------------------------------------------------------------------------
+
+
+def _ref_diffs(S: GpmSet) -> list[tuple[int, int]]:
+    d = S.d
+    ms = S.members
+    return [((sj - si) % d, (tj - ti) % d) for si, ti in ms for sj, tj in ms]
+
+
+def _ref_invariant1(S: GpmSet) -> tuple[int, ...]:
+    d = S.d
+    diffs = _ref_diffs(S)
+    return tuple(sorted(
+        min(m, d - m)
+        for a in diffs
+        for b in diffs
+        for m in [(a[1] * b[0] - a[0] * b[1]) % d]
+    ))
+
+
+def _ref_invariant2(S: GpmSet, a: int) -> int:
+    d = S.d
+    return sum(1 for v in _ref_diffs(S) if (a * v[0]) % d == 0 and (a * v[1]) % d == 0)
+
+
+def _ref_invariant3(S: GpmSet, a: int) -> int:
+    d = S.d
+    diffs = _ref_diffs(S)
+    cnt = Counter(diffs)
+    total = 0
+    for v in diffs:
+        left = ((-a * v[0]) % d, (-a * v[1]) % d)
+        right = (((a - 1) * v[0]) % d, ((a - 1) * v[1]) % d)
+        total += cnt[left] * cnt[right]
+    return total
+
+
+def _ref_row(S: GpmSet, t: int, shifts) -> tuple:
+    T = powered_set(S, t)
+    return (
+        _ref_invariant1(T),
+        tuple(_ref_invariant2(T, a) for a in range(1, S.d)),
+        tuple(_ref_invariant3(T, a) for a in shifts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +271,55 @@ def test_probe_range_is_checked() -> None:
 # ---------------------------------------------------------------------------
 # Powered sets.
 # ---------------------------------------------------------------------------
+
+
+def test_invariant_table_matches_scalar_reference() -> None:
+    """The kernel equals the scalar definitions at every power and shift.
+
+    Every power and shift is checked at d <= 64; at d = 1000 and 1024 a
+    drawn handful of each, with I2 still at every a.  Inputs include
+    powered sets whose members collapse into repeats, and the I3 lookups
+    run both one shift per chunk and in the default chunks.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data) -> None:
+        d = data.draw(st.one_of(st.integers(2, 64), st.sampled_from([1000, 1024])))
+        vec = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+        S = GpmSet(d, tuple(data.draw(st.lists(vec, min_size=2, max_size=5))))
+        k = data.draw(st.integers(1, d - 1))
+        if k > 1:
+            S = powered_set(S, k)
+        if d <= 64:
+            powers = shifts = range(1, d)
+        else:
+            probe = st.lists(st.integers(1, d - 1), min_size=1, max_size=3)
+            powers, shifts = data.draw(probe), data.draw(probe)
+        chunk = data.draw(st.sampled_from([1, pauli._QUERY_CHUNK]))
+        saved, pauli._QUERY_CHUNK = pauli._QUERY_CHUNK, chunk
+        try:
+            rows = invariant_table(S, powers, shifts)
+        finally:
+            pauli._QUERY_CHUNK = saved
+        assert len(rows) == len(powers)
+        for t, row in zip(powers, rows):
+            assert row == _ref_row(S, t, shifts), (S, t)
+            assert all(type(v) is int for part in row for v in part)
+
+    check()
+
+
+def test_invariant_table_checks_probes() -> None:
+    S = s("0,0;0,1;3,0", 9)
+    assert invariant_table(S, (), (2,)) == []
+    for bad in (0, 9, -1):
+        with pytest.raises(PowerOutOfRange):
+            invariant_table(S, (bad,), ())
+        with pytest.raises(PowerOutOfRange):
+            invariant_table(S, (1,), (2, bad))
 
 
 def test_powered_set_multiplies_exponents() -> None:

@@ -1,10 +1,20 @@
-"""Print one sha256 of every output format per (mode, d, witnesses).
+"""Print one sha256 per piece of the output contract.
 
-Each line is ``mode d witnesses sha256`` over ``to_json() + to_text() +
-to_csv()`` of one classification.  The grid is triples at d = 2..32 and
-pairs at d = 2..64, 100, 128, 243, 256, 500, 729, 1000 and 1024, each
-with and without witnesses.  Run it against two trees and diff the
-output to check that a change keeps the contract byte-identical:
+Each classification line is ``mode d witnesses sha256`` over
+``to_json() + to_text() + to_csv()`` of one classification.  The grid is
+triples at d = 2..32 and pairs at d = 2..64, 100, 128, 243, 256, 500,
+729, 1000 and 1024, each with and without witnesses.
+
+Each ``mode d invariants sha256`` line covers the numbers behind the
+labels: ``invariant_vector(rep, range(1, d), range(1, d))`` of every
+class representative, as ``repr`` of its key and of its I1 values, for
+triples at d <= 32 and pairs at d <= 64.  The ``cli invariants k fmt
+sha256`` lines cover the exit code and output of ``gbsclass invariants``
+on the README example and the second ``--help`` example, in every
+format.
+
+Run it against two trees and diff the output to check that a change
+keeps the contract byte-identical:
 
     PYTHONPATH=src python3 tools/contract_digest.py > after.txt
 """
@@ -13,11 +23,35 @@ from __future__ import annotations
 
 import hashlib
 
+from click.testing import CliRunner
+
 from gbsclass import classify
+from gbsclass.cli import main as cli_main
+from gbsclass.pauli import invariant_vector
 
 GRID = [("triples", d) for d in range(2, 33)] + [
     ("pairs", d) for d in [*range(2, 65), 100, 128, 243, 256, 500, 729, 1000, 1024]
 ]
+INVARIANT_CAP = {"triples": 32, "pairs": 64}
+CLI_EXAMPLES = [
+    ["--dim", "9", "--set", "0,0;0,1;3,0", "--a", "3", "--pow", "3"],
+    ["--dim", "8", "--set", "0,0;0,1;4,2", "--a", "4", "--pow", "2"],
+]
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def invariant_text(cls: classify.Classification) -> str:
+    """Every invariant at every power and shift of each representative."""
+    d = cls.dimension
+    parts = []
+    for c in cls.classes:
+        iv = invariant_vector(c.representative, range(1, d), range(1, d))
+        values = [iv.i1.value()] + [pb.i1.value() for _, pb in sorted(iv.powered.items())]
+        parts.append(f"{c.representative.to_text()} {iv.key()!r} {values!r}\n")
+    return "".join(parts)
 
 
 def main() -> None:
@@ -25,12 +59,18 @@ def main() -> None:
     for mode, d in GRID:
         for witnesses in (False, True):
             cls = run[mode](d, witnesses)
-            text = cls.to_json() + cls.to_text() + cls.to_csv()
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            print(mode, d, int(witnesses), digest, flush=True)
+            print(mode, d, int(witnesses), sha(cls.to_json() + cls.to_text() + cls.to_csv()),
+                  flush=True)
+        if d <= INVARIANT_CAP[mode]:
+            print(mode, d, "invariants", sha(invariant_text(cls)), flush=True)
         # the per-d state caches are unbounded; keep the sweep's memory flat
         classify._TRIPLE_STATE.clear()
         classify._PAIR_STATE.clear()
+    runner = CliRunner()
+    for k, args in enumerate(CLI_EXAMPLES, start=1):
+        for fmt in ("json", "csv", "text"):
+            res = runner.invoke(cli_main, ["invariants", *args, "--format", fmt])
+            print("cli invariants", k, fmt, sha(f"{res.exit_code}\n{res.output}"), flush=True)
 
 
 if __name__ == "__main__":
