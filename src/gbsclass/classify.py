@@ -37,6 +37,12 @@ from .residues import BRACKET, DOUBLE, bracket_partition, factorize, prime_power
 
 DEFAULT_ENUM_CAP = 32
 
+MAX_STATES = 12 * 10**6
+"""Most states an enumeration builds: C(d*d - 1, 2) for triples, d*d for
+pairs.  Triples cost about 175 bytes a state in peak RSS (measured from
+d = 24 to d = 64), so the cap is about 2 GB: it admits d = 64 (8.4e6
+states) and refuses d = 81 (2.2e7)."""
+
 SEP_INVARIANT = "INVARIANT"
 SEP_THEOREM1 = "THEOREM1"
 SEP_UNSEPARATED = "UNSEPARATED"
@@ -308,6 +314,10 @@ def _check_dim(d: int, mode: str, enum_cap: int) -> None:
     cap = enum_cap * enum_cap if mode == "pairs" else enum_cap
     if d > cap:
         raise DimensionTooLarge(f"{mode} enumeration capped at d <= {cap}, got {d}")
+    states = d * d if mode == "pairs" else math.comb(d * d - 1, 2)
+    if states > MAX_STATES:
+        raise DimensionTooLarge(
+            f"{mode} enumeration capped at {MAX_STATES} states, got {states} at d={d}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +330,63 @@ def _witness_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per state: BFS distance to its class representative, plus one step.
 
-    Each level visits the moves in list order, and a state takes the first
-    arrow that reaches the previous level, so every witness is fixed by
-    the move order.
+    A state at distance k + 1 takes, among its arrows into distance k,
+    the one of the least move index, so every witness is fixed by the
+    move order.  ``lab`` holds that index, ``nxt`` the arrow's image, and
+    all three tables hold -1 where no representative is reachable.
+
+    The BFS indexes the arrows once: each becomes one int64 key holding
+    its image, move index and source in bit fields, and the sorted keys
+    with CSR offsets per image list every state's in-arrows in move
+    order.  A level gathers the in-arrows of the frontier, drops those
+    whose source is already visited, and keeps per source the least move
+    index through ``np.minimum.at``.  That is the first-move-wins rule,
+    since a source is a candidate in one level only and a move has one
+    arrow per source.  The sources reached become the next frontier, so
+    each arrow is read in one level only.
     """
-    dist = np.full(n, -1, dtype=np.int64)
-    nxt = np.full(n, -1, dtype=np.int64)
-    lab = np.full(n, -1, dtype=np.int64)
+    lab_type = np.min_scalar_type(-len(moves) - 1)  # holds -1 and len(moves)
+    dist = np.full(n, -1, dtype=np.int32)
+    nxt = np.full(n, -1, dtype=np.int32)
+    lab = np.full(n, -1, dtype=lab_type)
+    # the three fields take at most 63 bits while n <= MAX_STATES
+    src_bits = max(n - 1, 1).bit_length()
+    move_bits = len(moves).bit_length()
+    key = np.empty(sum(src.shape[0] for _, src, _ in moves), dtype=np.int64)
+    indegree = np.zeros(n, dtype=np.int64)
+    end = 0
+    for li, (_, src, dst) in enumerate(moves):
+        k = key[end:end + src.shape[0]]
+        np.left_shift(dst, src_bits + move_bits, out=k, dtype=np.int64)
+        k |= li << src_bits
+        k |= src
+        indegree += np.bincount(dst, minlength=n)
+        end += src.shape[0]
+    key.sort()
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(indegree, out=start[1:])
+    del indegree
+    best = np.full(n, len(moves), dtype=lab_type)
     dist[rep_slots] = 0
+    frontier = np.flatnonzero(dist == 0)
     level = 0
-    while True:
-        changed = False
-        for li, (_, src, dst) in enumerate(moves):
-            hit = (dist[src] == -1) & (dist[dst] == level)
-            if hit.any():
-                states = src[hit]
-                dist[states] = level + 1
-                nxt[states] = dst[hit]
-                lab[states] = li
-                changed = True
-        if not changed:
-            return dist, nxt, lab
+    while frontier.size:
+        first = start[frontier]
+        count = start[frontier + 1] - first
+        ends = np.cumsum(count)
+        arrows = key[np.repeat(first - ends + count, count) + np.arange(ends[-1])]
+        states = (arrows & ((1 << src_bits) - 1)).astype(np.int32)
+        fresh = dist[states] == -1
+        arrows, states = arrows[fresh], states[fresh]
+        li = ((arrows >> src_bits) & ((1 << move_bits) - 1)).astype(lab_type)
+        np.minimum.at(best, states, li)
+        won = li == best[states]
+        frontier = states[won]
         level += 1
+        dist[frontier] = level
+        nxt[frontier] = arrows[won] >> (src_bits + move_bits)
+        lab[frontier] = li[won]
+    return dist, nxt, lab
 
 
 def _walk_witness(

@@ -347,7 +347,8 @@ def invariant_vector(
         raise TableTooLarge(
             f"{blocks} I2 tables of {d - 1} entries exceed the cap of "
             f"{MAX_I2_ENTRIES} entries")
-    auto_i3, auto_pow = default_probes(d)
+    if i3_probes is None or power_probes is None:  # default_probes factorizes d
+        auto_i3, auto_pow = default_probes(d)
     i3p = tuple(auto_i3 if i3_probes is None else i3_probes)
     powp = tuple(auto_pow if power_probes is None else power_probes)
     rows = invariant_table(S, (1, *powp), i3p)

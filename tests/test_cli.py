@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from math import comb
 
 import pytest
 from click.testing import CliRunner
 
+from gbsclass.classify import MAX_STATES
 from gbsclass.cli import main
 from gbsclass.config import Config, parse_config
-from gbsclass.pauli import MAX_I2_ENTRIES
+from gbsclass.pauli import MAX_I2_ENTRIES, GpmSet, invariant_vector
 
 
 def run(*args: str, env: dict | None = None):
@@ -156,6 +158,18 @@ def test_invariants_table_cap_exits_before_allocating() -> None:
         assert peak < 2**20, peak
 
 
+def test_invariants_explicit_probes_skip_factorizing() -> None:
+    """Given both probe kinds, d past the factorization table still runs."""
+    d = 1000001
+    res = run("invariants", "--dim", str(d), "--set", "0,0;0,1", "--a", "2", "--pow", "2")
+    assert res.exit_code == 0, res.output
+    iv = invariant_vector(GpmSet(d, ((0, 0), (0, 1))), (2,), (2,))
+    pb = iv.powered[2]
+    lines = res.output.strip().split("\n")
+    assert lines[2:4] == [f"I2[2] = {iv.i2[2]}", f"I3[2] = {iv.i3[2]}"]
+    assert lines[4].endswith(f"I2[2] = {pb.i2[2]}  I3[2] = {pb.i3[2]}")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -199,6 +213,24 @@ def test_config_lowers_enum_cap(tmp_path) -> None:
     assert res.exit_code == 3
     res = run("triples", "--dim", "8", env={"GBSCLASS_CONFIG": str(cfg)})
     assert res.exit_code == 0
+
+
+def test_states_cap_exits_before_allocating(tmp_path) -> None:
+    """Past MAX_STATES a raised enum_cap still ends in exit 3, not a huge table."""
+    assert comb(64 * 64 - 1, 2) <= MAX_STATES < comb(81 * 81 - 1, 2)
+    cfg = tmp_path / "gbs.cfg"
+    cfg.write_text("enum_cap = 200\n")
+    cases = [("triples", "81"), ("triples", "200"), ("pairs", "4000")]
+    for mode, dim in cases:
+        tracemalloc.start()
+        try:
+            res = run(mode, "--dim", dim, env={"GBSCLASS_CONFIG": str(cfg)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 3, res.output
+        assert f"capped at {MAX_STATES} states" in res.output
+        assert peak < 2**20, peak
 
 
 def test_config_sets_default_format(tmp_path) -> None:

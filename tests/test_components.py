@@ -1,4 +1,9 @@
-"""Connected components of move arrows against a scalar union-find."""
+"""Connected components and witness tables of move arrows, against references.
+
+Components are checked against a scalar union-find, and the frontier
+witness BFS against the level scan it replaced, which rescans every arrow
+of every move at every level.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from gbsclass.classify import _components
+from gbsclass.classify import _components, _pairs_state, _triples_state, _witness_tables
 
 
 def _reference_roots(n: int, edges: list[tuple[int, int]]) -> list[int]:
@@ -79,3 +84,80 @@ def test_no_arrows() -> None:
     _check(4, [])
     _check(4, [_move("A", []), _move("B", [])])
     assert _components(1, []).tolist() == [0]
+
+
+# ---------------------------------------------------------------------------
+# Witness tables.
+# ---------------------------------------------------------------------------
+
+
+def _reference_witness_tables(n: int, moves: list, rep_slots) -> tuple:
+    """Level scan: at each level visit the moves in list order, and let a
+    state take the first arrow that reaches the previous level."""
+    dist = np.full(n, -1, dtype=np.int64)
+    nxt = np.full(n, -1, dtype=np.int64)
+    lab = np.full(n, -1, dtype=np.int64)
+    dist[rep_slots] = 0
+    level = 0
+    while True:
+        changed = False
+        for li, (_, src, dst) in enumerate(moves):
+            hit = (dist[src] == -1) & (dist[dst] == level)
+            if hit.any():
+                states = src[hit]
+                dist[states] = level + 1
+                nxt[states] = dst[hit]
+                lab[states] = li
+                changed = True
+        if not changed:
+            return dist, nxt, lab
+        level += 1
+
+
+def _check_witness_tables(n: int, moves: list, rep_slots) -> None:
+    got = _witness_tables(n, moves, np.asarray(rep_slots, dtype=np.int64))
+    want = _reference_witness_tables(n, moves, np.asarray(rep_slots, dtype=np.int64))
+    for name, g, w in zip(("dist", "nxt", "lab"), got, want):
+        assert g.shape == (n,), name
+        assert np.array_equal(g, w), name
+
+
+def _partial_move(rng: random.Random, label: str, n: int, targets: list[int]) -> tuple:
+    """A partial function on the states: one arrow per source, none fixed."""
+    sources = rng.sample(range(n), rng.randint(0, n))
+    return _move(label, [(u, v) for u in sources if (v := rng.choice(targets)) != u])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_witness_tables_random_arrows(seed: int) -> None:
+    rng = random.Random(seed)
+    n = rng.randint(1, 400)
+    # a few shared images make many arrows of different moves meet
+    targets = rng.sample(range(n), rng.randint(1, min(n, 8))) if seed % 3 == 0 else list(range(n))
+    moves = [_partial_move(rng, f"M{k}", n, targets) for k in range(rng.randint(1, 16))]
+    roots = rng.sample(range(n), rng.randint(1, min(n, 6)))
+    _check_witness_tables(n, moves, roots)
+
+
+def test_witness_tables_edge_cases() -> None:
+    _check_witness_tables(5, [], [0, 3])
+    _check_witness_tables(5, [_move("A", []), _move("B", [])], [2])
+    # unreachable states 4 and 5; 3 reaches the root through A and B, so A wins
+    moves = [_move("A", [(1, 0), (3, 1)]), _move("B", [(2, 0), (3, 2), (4, 5)])]
+    _check_witness_tables(6, moves, [0])
+    dist, nxt, lab = _witness_tables(6, moves, np.array([0]))
+    assert dist.tolist() == [0, 1, 1, 2, -1, -1]
+    assert nxt.tolist() == [-1, 0, 0, 1, -1, -1]
+    assert lab.tolist() == [-1, 0, 1, 0, -1, -1]
+
+
+@pytest.mark.parametrize("d", [8, 9, 16, 25])
+def test_witness_tables_triples(d: int) -> None:
+    M1, _, _, moves, roots, _ = _triples_state(d)
+    _check_witness_tables(M1.shape[0], moves, roots)
+
+
+@pytest.mark.parametrize("d", [9, 64])
+def test_witness_tables_pairs(d: int) -> None:
+    moves, roots, _ = _pairs_state(d)
+    _check_witness_tables(d * d, moves, roots)
