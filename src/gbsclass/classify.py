@@ -1,22 +1,26 @@
 """Exhaustive classification of Pauli pairs and triples at one dimension.
 
-The classifier enumerates every normalized exponent set {identity, v} or
-{identity, v1, v2} as a packed integer and evaluates the move list of
-:func:`gbsclass.moves.enumerator_moves` on the whole universe at once:
-P and R, which generate every determinant-one exponent map mod d,
-PIVOT(1), and on triples at prime powers one W(s, t, 1) per sublattice
-and the split rule.  A move is stored as its arrows only, the int32 pairs
-(state, image) with image != state, and a guarded move is evaluated on
-the states inside its guard alone.
+Pairs and triples go through one engine.  Its only per-mode step packs
+the universe of normalized sets {identity, v} or {identity, v1, v2} into
+state indices: a pair is the code x*d + z of v, a triple the ``triu``
+index of its two codes.  Everything after the packing is shared but the
+sign-flip scan, which only triples need.  The move list of
+:func:`gbsclass.moves.enumerator_moves` is evaluated on the whole
+universe at once: P and R, which generate every determinant-one exponent
+map mod d, PIVOT(1), and on triples at prime powers one W(s, t, 1) per
+sublattice and the split rule.  A move is stored as its arrows only, the
+int32 pairs (state, image) with image != state, and a guarded move is
+evaluated on the states inside its guard alone.
 
 Connected components come from min-label hooking with pointer jumping over
 all arrows at once, and each class is keyed by its least state.  The
 components are then labeled with exact invariants.  Because the
 invariants never change under true equivalence and the moves never merge
 inequivalent sets, singleton invariant cells prove the class count
-correct; equal-invariant components are separated, where possible, by the
-sign-flip feasibility criterion, and final counts are compared against
-closed-form expectations on the dimensions where those are valid.
+correct; on triples at p^alpha with alpha >= 2, equal-invariant
+components are separated, where possible, by the sign-flip feasibility
+criterion, and final counts are compared against closed-form
+expectations on the dimensions where those are valid.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -193,49 +197,40 @@ def _arrows(label: str, src: np.ndarray, dst: np.ndarray) -> Arrows:
     return label, src[moved].astype(np.int32), dst[moved].astype(np.int32)
 
 
-def _pairs_moves(d: int) -> list[Arrows]:
-    m = np.arange(d * d, dtype=np.int32)
-    universe = [(0, 0), (m // d, m % d)]
-
-    def arrows(mv: Move) -> Arrows:
-        _, (a, b) = mv.image(universe)
-        return _arrows(mv.label, m, (a % d) * d + (b % d))
-
-    return [arrows(mv) for mv in enumerator_moves(d, 2)]
-
-
 def _restrict(members: list, keep: np.ndarray) -> list:
     """The identity, then the other members at the states keep selects."""
     return [members[0], *((a[keep], b[keep]) for a, b in members[1:])]
 
 
-def _triples_moves(
-    d: int, M1: np.ndarray, M2: np.ndarray, slot: np.ndarray
+def _moves(
+    d: int,
+    size: int,
+    states: np.ndarray,
+    codes: list[np.ndarray],
+    pack: Callable[..., np.ndarray],
 ) -> list[Arrows]:
     """Every move as arrows; a guarded move is evaluated on its states only.
 
-    A guard is evaluated on the states inside the guard its move names as
+    ``codes`` holds per state the code x*d + z of each non-identity
+    member, and ``pack`` maps the codes of an image set to its state.  A
+    guard is evaluated on the states inside the guard its move names as
     ``within``, whose states and members are kept for that reason.
     """
-    n2 = d * d
-    everything = np.arange(M1.shape[0], dtype=np.int64)
-    universe = [(0, 0), (M1 // d, M1 % d), (M2 // d, M2 % d)]
+    universe = [(0, 0), *((c // d, c % d) for c in codes)]
     inside: dict[str, tuple[np.ndarray, list]] = {}
 
     def arrows(mv: Move) -> Arrows:
         if mv.guard is None:
-            src, members = everything, universe
+            src, members = states, universe
         else:
-            base, base_members = inside.get(mv.within, (everything, universe))
+            base, base_members = inside.get(mv.within, (states, universe))
             keep = np.flatnonzero(mv.guard(base_members))
             src, members = base[keep], _restrict(base_members, keep)
             inside[mv.label] = src, members
-        _, (a1, b1), (a2, b2) = mv.image(members)
-        u1 = (a1 % d) * d + (b1 % d)
-        u2 = (a2 % d) * d + (b2 % d)
-        return _arrows(mv.label, src, slot[np.minimum(u1, u2) * n2 + np.maximum(u1, u2)])
+        _, *images = mv.image(members)
+        return _arrows(mv.label, src, pack(*((a % d) * d + (b % d) for a, b in images)))
 
-    return [arrows(mv) for mv in enumerator_moves(d, 3, _array_tables(d))]
+    return [arrows(mv) for mv in enumerator_moves(d, size, _array_tables(d))]
 
 
 def _components(n: int, moves: list[Arrows]) -> np.ndarray:
@@ -279,33 +274,40 @@ def _last_states(inverse: np.ndarray, count: int) -> np.ndarray:
     return last
 
 
-_PAIR_STATE: dict[int, tuple] = {}
-_TRIPLE_STATE: dict[int, tuple] = {}
+_STATE: dict[tuple[int, int], tuple] = {}
 
 
-def _pairs_state(d: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
-    """Moves, class roots and per-state class index of the pairs universe."""
-    if d not in _PAIR_STATE:
-        moves = _pairs_moves(d)
-        _PAIR_STATE[d] = (moves, *_classes(_components(d * d, moves)))
-    return _PAIR_STATE[d]
+def _state(
+    d: int, size: int
+) -> tuple[list, np.ndarray | None, list[Arrows], np.ndarray, np.ndarray]:
+    """Codes, slot table, moves, class roots and class index of one universe.
 
-
-def _triples_state(
-    d: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Arrows], np.ndarray, np.ndarray]:
-    """Members, slot table, moves, class roots and class index of the triples."""
-    if d not in _TRIPLE_STATE:
+    The universe is every normalized set of ``size`` members at d, and
+    packing its sets into states is the one step that depends on the
+    size.  A pair is the code x*d + z of its second member, so its codes
+    are the states themselves and it needs no slot table.  A triple is the
+    ``triu`` index of its two codes, and ``slot`` maps code1 * d^2 + code2
+    back to it.
+    """
+    if (d, size) not in _STATE:
         n2 = d * d
-        i, j = np.triu_indices(n2 - 1, k=1)
-        M1 = (i + 1).astype(np.int64)
-        M2 = (j + 1).astype(np.int64)
-        slot = np.full(n2 * n2, -1, dtype=np.int32)
-        slot[M1 * n2 + M2] = np.arange(M1.shape[0])
-        moves = _triples_moves(d, M1, M2, slot)
-        roots = _components(M1.shape[0], moves)
-        _TRIPLE_STATE[d] = (M1, M2, slot, moves, *_classes(roots))
-    return _TRIPLE_STATE[d]
+        if size == 2:
+            codes, slot = [range(n2)], None
+            states = np.arange(n2, dtype=np.int32)
+            moves = _moves(d, size, states, [states], lambda u: u)
+        else:
+            codes = [k + 1 for k in np.triu_indices(n2 - 1, k=1)]
+            states = np.arange(codes[0].shape[0], dtype=np.int32)
+            slot = np.full(n2 * n2, -1, dtype=np.int32)
+            slot[codes[0] * n2 + codes[1]] = states
+
+            def pack(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+                return slot[np.minimum(u1, u2) * n2 + np.maximum(u1, u2)]
+
+            moves = _moves(d, size, states, codes, pack)
+        del states  # for pairs, no d*d array outlives the move build
+        _STATE[d, size] = (codes, slot, moves, *_classes(_components(len(codes[0]), moves)))
+    return _STATE[d, size]
 
 
 def _check_dim(d: int, mode: str, enum_cap: int) -> None:
@@ -600,14 +602,14 @@ def _invariant_cells(reps: list[GpmSet], ivs: list[InvariantVector]) -> list[lis
     return cells
 
 
-def _triples_expectation(d: int) -> tuple[int | None, str | None]:
-    """The closed-form triple count at d, or None with a note saying why not.
+def _expectation(d: int, mode: str) -> tuple[int | None, str | None]:
+    """The closed-form class count at d, or None with a note saying why not.
 
     The note is None when no formula applies; it is set when a formula is
     selected but cannot be evaluated there (TRIPLES_PALPHA is not integral
     at some alpha), which leaves the classification PARTIAL.
     """
-    formula = formula_for(d, "triples")
+    formula = formula_for(d, mode)
     if formula is None:
         return None, None
     try:
@@ -616,71 +618,22 @@ def _triples_expectation(d: int) -> tuple[int | None, str | None]:
         return None, f"closed form {formula.kind}{formula.params} not evaluated: {exc}"
 
 
-def enumerate_pairs(
+def _classify(
     d: int,
-    emit_witnesses: bool = False,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    i3_probes: tuple[int, ...] | None = None,
-    power_probes: tuple[int, ...] | None = None,
+    mode: str,
+    emit_witnesses: bool,
+    enum_cap: int,
+    i3_probes: tuple[int, ...] | None,
+    power_probes: tuple[int, ...] | None,
 ) -> Classification:
-    """Classify all pairs {identity, X^s Z^t} at dimension d."""
-    _check_dim(d, "pairs", enum_cap)
-    moves, class_roots, inverse = _pairs_state(d)
-    sizes = np.bincount(inverse)
-
-    reps = [
-        GpmSet(d, ((0, 0), divmod(int(r), d))) for r in class_roots
-    ]
-    ivs = [invariant_vector(S, i3_probes, power_probes) for S in reps]
-
-    cells = _invariant_cells(reps, ivs)
-    sep = [SEP_INVARIANT] * len(reps)
-    for cell in cells:
-        if len(cell) > 1:
-            for ci in cell:
-                sep[ci] = SEP_UNSEPARATED
-
-    witnesses: list[list[str] | None] = [None] * len(reps)
-    if emit_witnesses:
-        tables = _witness_tables(d * d, moves, class_roots)
-        starts = _last_states(inverse, len(reps)).tolist()
-        for ci, r in enumerate(class_roots.tolist()):
-            witnesses[ci] = _walk_witness(starts[ci], r, moves, tables)
-
-    expected = expected_count(CountFormula("PAIRS", (d,)))
-    notes: list[str] = []
-    ok = all(s == SEP_INVARIANT for s in sep) and expected == len(reps)
-    if not ok:
-        notes.append("pair classes and invariant cells disagree")
-
-    return Classification(
-        dimension=d,
-        mode="pairs",
-        classes=[
-            ClassReport(reps[ci], int(sizes[ci]), ivs[ci], sep[ci], witnesses[ci])
-            for ci in range(len(reps))
-        ],
-        expected_count=expected,
-        status=STATUS_VERIFIED if ok else STATUS_PARTIAL,
-        notes=notes,
-    )
-
-
-def enumerate_triples(
-    d: int,
-    emit_witnesses: bool = False,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    i3_probes: tuple[int, ...] | None = None,
-    power_probes: tuple[int, ...] | None = None,
-) -> Classification:
-    """Classify all triples {identity, v1, v2} at dimension d."""
-    _check_dim(d, "triples", enum_cap)
-    M1, M2, slot, moves, class_roots, inverse = _triples_state(d)
+    """Classify every normalized pair or triple at dimension d."""
+    _check_dim(d, mode, enum_cap)
+    codes, slot, moves, class_roots, inverse = _state(d, 2 if mode == "pairs" else 3)
     sizes = np.bincount(inverse)
     C = len(class_roots)
 
     reps = [
-        GpmSet(d, ((0, 0), divmod(int(M1[r]), d), divmod(int(M2[r]), d)))
+        GpmSet(d, ((0, 0), *(divmod(int(c[r]), d) for c in codes)))
         for r in class_roots.tolist()
     ]
     ivs = [invariant_vector(S, i3_probes, power_probes) for S in reps]
@@ -690,9 +643,9 @@ def enumerate_triples(
     separated: set[tuple[int, int]] = set()
     notes: set[str] = set()
     pa = prime_power(d)
-    if pa is not None and pa[1] >= 2:
+    if mode == "triples" and pa is not None and pa[1] >= 2:
         p, alpha = pa
-        for i, pslot, s, t, tp, verdict in _obstruction_scan(d, p, alpha, M1, M2, slot):
+        for i, pslot, s, t, tp, verdict in _obstruction_scan(d, p, alpha, *codes, slot):
             ci, cj = int(inverse[i]), int(inverse[pslot])
             if verdict == INFEASIBLE:
                 if ci == cj:
@@ -721,14 +674,14 @@ def enumerate_triples(
 
     witnesses: list[list[str] | None] = [None] * C
     if emit_witnesses:
-        tables = _witness_tables(M1.shape[0], moves, class_roots)
+        tables = _witness_tables(inverse.shape[0], moves, class_roots)
         starts = _last_states(inverse, C).tolist()
         for ci, r in enumerate(class_roots.tolist()):
             witnesses[ci] = _walk_witness(starts[ci], r, moves, tables)
             if witnesses[ci] is None:
                 notes.add(f"no witness path found for class {ci + 1}")
 
-    expected, note = _triples_expectation(d)
+    expected, note = _expectation(d, mode)
     if note is not None:
         notes.add(note)
     ok = (
@@ -746,7 +699,7 @@ def enumerate_triples(
 
     return Classification(
         dimension=d,
-        mode="triples",
+        mode=mode,
         classes=[
             ClassReport(reps[ci], int(sizes[ci]), ivs[ci], sep[ci], witnesses[ci])
             for ci in range(C)
@@ -757,6 +710,28 @@ def enumerate_triples(
     )
 
 
+def enumerate_pairs(
+    d: int,
+    emit_witnesses: bool = False,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+    i3_probes: tuple[int, ...] | None = None,
+    power_probes: tuple[int, ...] | None = None,
+) -> Classification:
+    """Classify all pairs {identity, X^s Z^t} at dimension d."""
+    return _classify(d, "pairs", emit_witnesses, enum_cap, i3_probes, power_probes)
+
+
+def enumerate_triples(
+    d: int,
+    emit_witnesses: bool = False,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+    i3_probes: tuple[int, ...] | None = None,
+    power_probes: tuple[int, ...] | None = None,
+) -> Classification:
+    """Classify all triples {identity, v1, v2} at dimension d."""
+    return _classify(d, "triples", emit_witnesses, enum_cap, i3_probes, power_probes)
+
+
 def locate_class(d: int, S: GpmSet, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     """Index (in enumerate_triples order) of the class containing S."""
     _check_dim(d, "triples", enum_cap)
@@ -765,7 +740,7 @@ def locate_class(d: int, S: GpmSet, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     members = sorted(S.members)
     if members[0] != (0, 0):
         raise ValueError("locate_class needs the identity as a member")
-    _, _, slot, _, _, inverse = _triples_state(d)
+    _, slot, _, _, inverse = _state(d, 3)
     n2 = d * d
     m1 = members[1][0] * d + members[1][1]
     m2 = members[2][0] * d + members[2][1]

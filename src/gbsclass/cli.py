@@ -51,6 +51,18 @@ def _emit(classification, fmt: str) -> None:
         click.echo(classification.to_text(), nl=False)
 
 
+def _classify(enumerate_, dim: int, fmt: str | None, emit_witnesses: bool) -> None:
+    cfg = _config()
+    _check_dim(dim)
+    try:
+        result = enumerate_(dim, emit_witnesses, cfg.enum_cap, cfg.i3_probes, cfg.power_probes)
+    except DimensionTooLarge as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_RESOURCE)
+    _emit(result, fmt or cfg.format)
+    sys.exit(EXIT_FAIL if result.status == STATUS_PARTIAL else 0)
+
+
 format_option = click.option(
     "--format",
     "fmt",
@@ -83,17 +95,7 @@ def pairs(dim: int, fmt: str | None, emit_witnesses: bool) -> None:
 
       gbsclass pairs --dim 9 --format json --emit-witnesses
     """
-    cfg = _config()
-    _check_dim(dim)
-    try:
-        result = enumerate_pairs(
-            dim, emit_witnesses, cfg.enum_cap, cfg.i3_probes, cfg.power_probes
-        )
-    except DimensionTooLarge as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
-    _emit(result, fmt or cfg.format)
-    sys.exit(EXIT_FAIL if result.status == STATUS_PARTIAL else 0)
+    _classify(enumerate_pairs, dim, fmt, emit_witnesses)
 
 
 @main.command()
@@ -109,17 +111,7 @@ def triples(dim: int, fmt: str | None, emit_witnesses: bool) -> None:
 
       gbsclass triples --dim 25 --format csv
     """
-    cfg = _config()
-    _check_dim(dim)
-    try:
-        result = enumerate_triples(
-            dim, emit_witnesses, cfg.enum_cap, cfg.i3_probes, cfg.power_probes
-        )
-    except DimensionTooLarge as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
-    _emit(result, fmt or cfg.format)
-    sys.exit(EXIT_FAIL if result.status == STATUS_PARTIAL else 0)
+    _classify(enumerate_triples, dim, fmt, emit_witnesses)
 
 
 @main.command()
@@ -226,7 +218,11 @@ def verify(dim: int | None, pp: tuple[int, int] | None) -> None:
         raise click.UsageError("pass exactly one of --dim or --prime-power")
     if pp is not None:
         p, alpha = pp
-        if factorize(max(p, 2)) != [(p, 1)]:
+        try:
+            prime = factorize(max(p, 2)) == [(p, 1)]
+        except OutOfRange as exc:
+            raise click.UsageError(str(exc))
+        if not prime:
             raise click.UsageError(f"{p} is not prime")
         if alpha < 1:
             raise click.UsageError(f"alpha must be positive, got {alpha}")

@@ -30,7 +30,9 @@ class CapExceeded(ValueError):
 
 def _check_cap(d: int, cap: int = MATRIX_CAP) -> None:
     if d > cap:
-        raise CapExceeded(f"dense matrices capped at {cap}, got d={d}")
+        # past 4300 digits Python refuses to print an int in decimal
+        got = f"d={d}" if d < 10**18 else f"d >= 2^{d.bit_length() - 1}"
+        raise CapExceeded(f"dense matrices capped at {cap}, got {got}")
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
 
@@ -437,6 +439,7 @@ def verification_suite(d: int) -> list[tuple[str, bool]]:
     """Named pass/fail results for every dense-matrix check available at d."""
     from .residues import count_quadratic_check
 
+    _check_cap(d)
     results = [
         ("pauli algebra", check_pauli_algebra(d)),
         ("clifford actions", check_clifford_actions(d)),

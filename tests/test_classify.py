@@ -19,9 +19,8 @@ from gbsclass.classify import (
     OutOfDomain,
     CountFormula,
     _components,
-    _pairs_state,
-    _triples_expectation,
-    _triples_state,
+    _expectation,
+    _state,
     enumerate_pairs,
     enumerate_triples,
     expected_count,
@@ -123,9 +122,9 @@ def test_formula_selection() -> None:
 
 
 def test_triple_expectation_outside_formula_domain_is_a_note() -> None:
-    assert _triples_expectation(16) == (28, None)
-    assert _triples_expectation(12) == (None, None)
-    expected, note = _triples_expectation(64)
+    assert _expectation(16, "triples") == (28, None)
+    assert _expectation(12, "triples") == (None, None)
+    expected, note = _expectation(64, "triples")
     assert expected is None
     assert "TRIPLES_PALPHA(2, 6)" in note and "alpha=6" in note
 
@@ -192,7 +191,7 @@ def test_triple_counts_frozen() -> None:
 
 def test_triple_class_counts_every_dimension() -> None:
     """Every count at d = 2..32, read from the components without labelling."""
-    counts = {d: len(_triples_state(d)[4]) for d in range(2, 33)}
+    counts = {d: len(_state(d, 3)[3]) for d in range(2, 33)}
     assert counts == TRIPLE_COUNTS
 
 
@@ -220,7 +219,7 @@ def test_minimal_move_set(d: int, dropped: str, count: int) -> None:
     the rule, whose soundness is shown only through invariant
     preservation.
     """
-    M1, _, _, moves, class_roots, inverse = _triples_state(d)
+    (M1, _), _, moves, class_roots, inverse = _state(d, 3)
     kept = [mv for mv in moves if mv[0] != dropped]
     assert len(kept) == len(moves) - 1
     roots = _components(M1.shape[0], kept)
@@ -253,7 +252,7 @@ def test_move_arrows_replay_label_by_label() -> None:
     rng = np.random.default_rng(20261018)
     for d in (8, 9, 16, 25, 27, 32):
         sample = None if d < 16 else rng
-        M1, M2, _, moves, _, _ = _triples_state(d)
+        (M1, M2), _, moves, _, _ = _state(d, 3)
 
         def triple(i: int) -> GpmSet:
             return GpmSet(d, ((0, 0), divmod(int(M1[i]), d), divmod(int(M2[i]), d)))
@@ -263,7 +262,7 @@ def test_move_arrows_replay_label_by_label() -> None:
         def pair(i: int) -> GpmSet:
             return GpmSet(d, ((0, 0), divmod(i, d)))
 
-        _assert_arrows_replay(d, d * d, pair, _pairs_state(d)[0], sample)
+        _assert_arrows_replay(d, d * d, pair, _state(d, 2)[2], sample)
 
 
 def test_triple_orbits_cover_universe() -> None:

@@ -195,10 +195,16 @@ def test_verify_flag_validation() -> None:
     assert run("verify", "--dim", "6", "--prime-power", "2", "3").exit_code == 2
     assert run("verify", "--prime-power", "4", "2").exit_code == 2
     assert run("verify", "--prime-power", "3", "0").exit_code == 2
+    # a p past the factorization domain is a usage error, not a traceback
+    assert run("verify", "--prime-power", "1000003", "1").exit_code == 2
 
 
 def test_verify_cap() -> None:
     assert run("verify", "--dim", "80").exit_code == 3
+    # the cap is checked before any check draws a random exponent below d
+    res = run("verify", "--prime-power", "3", "99999")
+    assert res.exit_code == 3
+    assert "capped at 64, got d >= 2^158494" in res.output
 
 
 # ---------------------------------------------------------------------------

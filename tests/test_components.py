@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from gbsclass.classify import _components, _pairs_state, _triples_state, _witness_tables
+from gbsclass.classify import _components, _state, _witness_tables
 
 
 def _reference_roots(n: int, edges: list[tuple[int, int]]) -> list[int]:
@@ -153,11 +153,11 @@ def test_witness_tables_edge_cases() -> None:
 
 @pytest.mark.parametrize("d", [8, 9, 16, 25])
 def test_witness_tables_triples(d: int) -> None:
-    M1, _, _, moves, roots, _ = _triples_state(d)
+    (M1, _), _, moves, roots, _ = _state(d, 3)
     _check_witness_tables(M1.shape[0], moves, roots)
 
 
 @pytest.mark.parametrize("d", [9, 64])
 def test_witness_tables_pairs(d: int) -> None:
-    moves, roots, _ = _pairs_state(d)
+    _, _, moves, roots, _ = _state(d, 2)
     _check_witness_tables(d * d, moves, roots)

@@ -11,7 +11,10 @@ class representative, as ``repr`` of its key and of its I1 values, for
 triples at d <= 32 and pairs at d <= 64.  The ``cli invariants k fmt
 sha256`` lines cover the exit code and output of ``gbsclass invariants``
 on the README example and the second ``--help`` example, in every
-format.
+format.  The ``cli pairs|triples args sha256`` lines cover the exit code
+and output of the classification commands: ``triples --dim 9`` in every
+format, ``pairs --dim 12`` with witnesses as JSON, and the refusals of
+``triples --dim 33`` (exit 3) and ``pairs --dim 1`` (exit 2).
 
 Run it against two trees and diff the output to check that a change
 keeps the contract byte-identical:
@@ -36,6 +39,12 @@ INVARIANT_CAP = {"triples": 32, "pairs": 64}
 CLI_EXAMPLES = [
     ["--dim", "9", "--set", "0,0;0,1;3,0", "--a", "3", "--pow", "3"],
     ["--dim", "8", "--set", "0,0;0,1;4,2", "--a", "4", "--pow", "2"],
+]
+CLI_CLASSIFY = [
+    *(["triples", "--dim", "9", "--format", fmt] for fmt in ("json", "csv", "text")),
+    ["pairs", "--dim", "12", "--emit-witnesses", "--format", "json"],
+    ["triples", "--dim", "33"],
+    ["pairs", "--dim", "1"],
 ]
 
 
@@ -63,14 +72,14 @@ def main() -> None:
                   flush=True)
         if d <= INVARIANT_CAP[mode]:
             print(mode, d, "invariants", sha(invariant_text(cls)), flush=True)
-        # the per-d state caches are unbounded; keep the sweep's memory flat
-        classify._TRIPLE_STATE.clear()
-        classify._PAIR_STATE.clear()
     runner = CliRunner()
     for k, args in enumerate(CLI_EXAMPLES, start=1):
         for fmt in ("json", "csv", "text"):
             res = runner.invoke(cli_main, ["invariants", *args, "--format", fmt])
             print("cli invariants", k, fmt, sha(f"{res.exit_code}\n{res.output}"), flush=True)
+    for args in CLI_CLASSIFY:
+        res = runner.invoke(cli_main, args)
+        print("cli", " ".join(args), sha(f"{res.exit_code}\n{res.output}"), flush=True)
 
 
 if __name__ == "__main__":
