@@ -1,16 +1,16 @@
 """Exhaustive classification of Pauli pairs and triples at one dimension.
 
-Pairs and triples go through one engine.  Its only per-mode step packs
-the universe of normalized sets {identity, v} or {identity, v1, v2} into
-state indices: a pair is the code x*d + z of v, a triple the ``triu``
-index of its two codes.  Everything after the packing is shared but the
-sign-flip scan, which only triples need.  The move list of
-:func:`gbsclass.moves.enumerator_moves` is evaluated on the whole
-universe at once: P and R, which generate every determinant-one exponent
-map mod d, PIVOT(1), and on triples at prime powers one W(s, t, 1) per
-sublattice and the split rule.  A move is stored as its arrows only, the
-int32 pairs (state, image) with image != state, and a guarded move is
-evaluated on the states inside its guard alone.
+Pairs and triples go through one engine.  Its only per-mode step numbers
+the universe of normalized sets {identity, v} or {identity, v1, v2} as
+states, in :func:`_pack` and :func:`_unpack`: a pair is the code x*d + z
+of v, a triple the ``triu`` rank of its two codes.  Everything after the
+numbering is shared but the sign-flip scan, which only triples need.
+The move list of :func:`gbsclass.moves.enumerator_moves` is evaluated on
+the whole universe at once: P and R, which generate every determinant-one
+exponent map mod d, PIVOT(1), and on triples at prime powers one
+W(s, t, 1) per sublattice and the split rule.  A move is stored as its
+arrows only, the int32 pairs (state, image) with image != state, and a
+guarded move is evaluated on the states inside its guard alone.
 
 Connected components come from min-label hooking with pointer jumping over
 all arrows at once, and each class is keyed by its least state.  The
@@ -31,21 +31,20 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from .config import DEFAULT_ENUM_CAP
 from .moves import Move, PreconditionViolated, Tables, enumerator_moves, tables
 from .pauli import GpmSet, InvariantVector, invariant_table, invariant_vector
 from .residues import BRACKET, DOUBLE, bracket_partition, factorize, prime_power
 
-DEFAULT_ENUM_CAP = 32
-
 MAX_STATES = 12 * 10**6
 """Most states an enumeration builds: C(d*d - 1, 2) for triples, d*d for
-pairs.  Triples cost about 175 bytes a state in peak RSS (measured from
-d = 24 to d = 64), so the cap is about 2 GB: it admits d = 64 (8.4e6
-states) and refuses d = 81 (2.2e7)."""
+pairs.  Triples cost about 130 bytes a state in peak RSS (125 to 131
+measured at d = 24, 32 and 64), so the cap is about 1.6 GB: it admits
+d = 64 (8.4e6 states) and refuses d = 81 (2.2e7)."""
 
 SEP_INVARIANT = "INVARIANT"
 SEP_THEOREM1 = "THEOREM1"
@@ -175,8 +174,39 @@ def formula_for(d: int, mode: str) -> CountFormula | None:
 
 
 # ---------------------------------------------------------------------------
-# Packed universes and vectorized moves.
+# Numbered universes and vectorized moves.
 # ---------------------------------------------------------------------------
+
+
+def _universe_size(d: int, size: int) -> int:
+    """How many normalized sets of ``size`` members there are at d."""
+    return d * d if size == 2 else math.comb(d * d - 1, 2)
+
+
+def _pack(d: int, *codes):
+    """The state of a set, from the codes x*d + z of its non-identity members.
+
+    A pair's state is its one code.  A triple's is the ``triu`` rank of
+    its two codes: with i = min - 1, j = max - 1 and N = d*d - 1, row i
+    starts at i(2N - i - 1)/2 and (i, j) is j - i - 1 further on.  Codes
+    are ints or int arrays.
+    """
+    if len(codes) == 1:
+        return codes[0]
+    n = d * d - 1
+    i, j = np.minimum(*codes) - 1, np.maximum(*codes) - 1
+    return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
+def _unpack(d: int, size: int, states: np.ndarray) -> list[np.ndarray]:
+    """The inverse of :func:`_pack`: per state, the codes of its members."""
+    if size == 2:
+        return [states]
+    n = d * d - 1
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, states, side="right") - 1
+    return [i + 1, states - starts[i] + i + 2]
 
 
 def _array_tables(d: int) -> Tables | None:
@@ -202,21 +232,16 @@ def _restrict(members: list, keep: np.ndarray) -> list:
     return [members[0], *((a[keep], b[keep]) for a, b in members[1:])]
 
 
-def _moves(
-    d: int,
-    size: int,
-    states: np.ndarray,
-    codes: list[np.ndarray],
-    pack: Callable[..., np.ndarray],
-) -> list[Arrows]:
+def _moves(d: int, size: int) -> list[Arrows]:
     """Every move as arrows; a guarded move is evaluated on its states only.
 
-    ``codes`` holds per state the code x*d + z of each non-identity
-    member, and ``pack`` maps the codes of an image set to its state.  A
-    guard is evaluated on the states inside the guard its move names as
-    ``within``, whose states and members are kept for that reason.
+    The members of every state come from :func:`_unpack`, and each image
+    set is numbered by :func:`_pack`.  A guard is evaluated on the states
+    inside the guard its move names as ``within``, whose states and
+    members are kept for that reason.
     """
-    universe = [(0, 0), *((c // d, c % d) for c in codes)]
+    states = np.arange(_universe_size(d, size), dtype=np.int32)
+    universe = [(0, 0), *((c // d, c % d) for c in _unpack(d, size, states))]
     inside: dict[str, tuple[np.ndarray, list]] = {}
 
     def arrows(mv: Move) -> Arrows:
@@ -228,7 +253,7 @@ def _moves(
             src, members = base[keep], _restrict(base_members, keep)
             inside[mv.label] = src, members
         _, *images = mv.image(members)
-        return _arrows(mv.label, src, pack(*((a % d) * d + (b % d) for a, b in images)))
+        return _arrows(mv.label, src, _pack(d, *((a % d) * d + (b % d) for a, b in images)))
 
     return [arrows(mv) for mv in enumerator_moves(d, size, _array_tables(d))]
 
@@ -277,36 +302,11 @@ def _last_states(inverse: np.ndarray, count: int) -> np.ndarray:
 _STATE: dict[tuple[int, int], tuple] = {}
 
 
-def _state(
-    d: int, size: int
-) -> tuple[list, np.ndarray | None, list[Arrows], np.ndarray, np.ndarray]:
-    """Codes, slot table, moves, class roots and class index of one universe.
-
-    The universe is every normalized set of ``size`` members at d, and
-    packing its sets into states is the one step that depends on the
-    size.  A pair is the code x*d + z of its second member, so its codes
-    are the states themselves and it needs no slot table.  A triple is the
-    ``triu`` index of its two codes, and ``slot`` maps code1 * d^2 + code2
-    back to it.
-    """
+def _state(d: int, size: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
+    """Moves, class roots and class index of the sets of ``size`` members at d."""
     if (d, size) not in _STATE:
-        n2 = d * d
-        if size == 2:
-            codes, slot = [range(n2)], None
-            states = np.arange(n2, dtype=np.int32)
-            moves = _moves(d, size, states, [states], lambda u: u)
-        else:
-            codes = [k + 1 for k in np.triu_indices(n2 - 1, k=1)]
-            states = np.arange(codes[0].shape[0], dtype=np.int32)
-            slot = np.full(n2 * n2, -1, dtype=np.int32)
-            slot[codes[0] * n2 + codes[1]] = states
-
-            def pack(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-                return slot[np.minimum(u1, u2) * n2 + np.maximum(u1, u2)]
-
-            moves = _moves(d, size, states, codes, pack)
-        del states  # for pairs, no d*d array outlives the move build
-        _STATE[d, size] = (codes, slot, moves, *_classes(_components(len(codes[0]), moves)))
+        moves = _moves(d, size)
+        _STATE[d, size] = (moves, *_classes(_components(_universe_size(d, size), moves)))
     return _STATE[d, size]
 
 
@@ -316,7 +316,7 @@ def _check_dim(d: int, mode: str, enum_cap: int) -> None:
     cap = enum_cap * enum_cap if mode == "pairs" else enum_cap
     if d > cap:
         raise DimensionTooLarge(f"{mode} enumeration capped at d <= {cap}, got {d}")
-    states = d * d if mode == "pairs" else math.comb(d * d - 1, 2)
+    states = _universe_size(d, 2 if mode == "pairs" else 3)
     if states > MAX_STATES:
         raise DimensionTooLarge(
             f"{mode} enumeration capped at {MAX_STATES} states, got {states} at d={d}")
@@ -328,7 +328,7 @@ def _check_dim(d: int, mode: str, enum_cap: int) -> None:
 
 
 def _witness_tables(
-    n: int, moves: list[Arrows], rep_slots: np.ndarray
+    n: int, moves: list[Arrows], rep_states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per state: BFS distance to its class representative, plus one step.
 
@@ -369,7 +369,7 @@ def _witness_tables(
     np.cumsum(indegree, out=start[1:])
     del indegree
     best = np.full(n, len(moves), dtype=lab_type)
-    dist[rep_slots] = 0
+    dist[rep_states] = 0
     frontier = np.flatnonzero(dist == 0)
     level = 0
     while frontier.size:
@@ -414,32 +414,29 @@ def _walk_witness(
 
 
 def _obstruction_scan(
-    d: int, p: int, alpha: int, M1: np.ndarray, M2: np.ndarray, slot: np.ndarray
+    d: int, p: int, alpha: int
 ) -> Iterator[tuple[int, int, int, int, int, str]]:
     """Yield (state, partner, s, t, t', verdict) for every sign-flip pattern.
 
-    Only states whose middle member is Z^(p^s) can match, so the scan
-    reads those states alone.
+    Only triples whose middle member is Z^(p^s) can match, so the scan
+    walks those rows alone: code M1 = p^s, and M2 from p^s + 1 to d^2 - 1.
     """
-    n2 = d * d
-    chain = np.flatnonzero(np.isin(M1, [p**s for s in range(alpha)]))
-    M1, S2, T2 = M1[chain], M2[chain] // d, M2[chain] % d
-    vpx = _array_tables(d).vp[S2]
+    vp = _array_tables(d).vp
     for s in range(alpha):
         ps = p**s
-        cand = np.where(
-            (M1 == ps) & (S2 != 0) & (vpx > s) & (vpx + s < alpha) & (T2 % ps == 0)
-        )[0]
-        for i in cand.tolist():
+        M2 = np.arange(ps + 1, d * d)
+        S2, T2 = M2 // d, M2 % d
+        vpx = vp[S2]
+        cand = np.flatnonzero((S2 != 0) & (vpx > s) & (vpx + s < alpha) & (T2 % ps == 0))
+        states = _pack(d, ps, M2[cand]).tolist()
+        partners = _pack(d, ps, (-S2[cand] % d) * d + T2[cand]).tolist()
+        for i, state, partner in zip(cand.tolist(), states, partners):
             t = int(vpx[i])
             m = p ** (t - s)
             tp = (int(T2[i]) // ps) % m
             if not 1 < tp < m:
                 continue
-            partner = ((-int(S2[i])) % d) * d + int(T2[i])
-            m1 = int(M1[i])
-            pslot = int(slot[min(m1, partner) * n2 + max(m1, partner)])
-            yield int(chain[i]), pslot, s, t, tp, sign_flip_feasibility(p, alpha, s, t, tp)
+            yield state, partner, s, t, tp, sign_flip_feasibility(p, alpha, s, t, tp)
 
 
 # ---------------------------------------------------------------------------
@@ -628,13 +625,14 @@ def _classify(
 ) -> Classification:
     """Classify every normalized pair or triple at dimension d."""
     _check_dim(d, mode, enum_cap)
-    codes, slot, moves, class_roots, inverse = _state(d, 2 if mode == "pairs" else 3)
+    size = 2 if mode == "pairs" else 3
+    moves, class_roots, inverse = _state(d, size)
     sizes = np.bincount(inverse)
     C = len(class_roots)
 
     reps = [
-        GpmSet(d, ((0, 0), *(divmod(int(c[r]), d) for c in codes)))
-        for r in class_roots.tolist()
+        GpmSet(d, ((0, 0), *(divmod(c, d) for c in codes)))
+        for codes in zip(*(c.tolist() for c in _unpack(d, size, class_roots)))
     ]
     ivs = [invariant_vector(S, i3_probes, power_probes) for S in reps]
 
@@ -645,8 +643,8 @@ def _classify(
     pa = prime_power(d)
     if mode == "triples" and pa is not None and pa[1] >= 2:
         p, alpha = pa
-        for i, pslot, s, t, tp, verdict in _obstruction_scan(d, p, alpha, *codes, slot):
-            ci, cj = int(inverse[i]), int(inverse[pslot])
+        for i, partner, s, t, tp, verdict in _obstruction_scan(d, p, alpha):
+            ci, cj = int(inverse[i]), int(inverse[partner])
             if verdict == INFEASIBLE:
                 if ci == cj:
                     notes.add(
@@ -740,14 +738,10 @@ def locate_class(d: int, S: GpmSet, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     members = sorted(S.members)
     if members[0] != (0, 0):
         raise ValueError("locate_class needs the identity as a member")
-    _, slot, _, _, inverse = _state(d, 3)
-    n2 = d * d
-    m1 = members[1][0] * d + members[1][1]
-    m2 = members[2][0] * d + members[2][1]
-    i = int(slot[m1 * n2 + m2])
-    if i < 0:
+    m1, m2 = (x * d + z for x, z in members[1:])
+    if not 0 < m1 < m2:
         raise ValueError(f"set {S.to_text()!r} is not a valid normalized triple")
-    return int(inverse[i])
+    return int(_state(d, 3)[2][_pack(d, m1, m2)])
 
 
 def family_breakdown(d: int, enum_cap: int = DEFAULT_ENUM_CAP) -> dict[str, list[int]]:

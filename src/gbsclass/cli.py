@@ -242,3 +242,7 @@ def verify(dim: int | None, pp: tuple[int, int] | None) -> None:
         failures += 0 if ok else 1
     click.echo(f"{len(results) - failures}/{len(results)} checks passed at d={d}")
     sys.exit(EXIT_FAIL if failures else 0)
+
+
+if __name__ == "__main__":
+    main()

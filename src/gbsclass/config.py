@@ -20,10 +20,12 @@ ENV_VAR = "GBSCLASS_CONFIG"
 
 FORMATS = ("text", "json", "csv")
 
+DEFAULT_ENUM_CAP = 32
+
 
 @dataclass(frozen=True)
 class Config:
-    enum_cap: int = 32
+    enum_cap: int = DEFAULT_ENUM_CAP
     format: str = "text"
     i3_probes: tuple[int, ...] | None = None
     power_probes: tuple[int, ...] | None = None

@@ -275,10 +275,6 @@ def compare_invariants(exact: dict, numeric: dict, tol: float = TOL_PHASE) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _phase_matches(got: complex, s: int, d: int, tol: float) -> bool:
-    return abs(got - np.exp(2j * np.pi * s / d)) <= tol
-
-
 def check_pauli_algebra(d: int, rng: np.random.Generator | None = None,
                         tol: float = TOL_PHASE) -> bool:
     """Products, adjoints and traces of X^s Z^t against dense matrices."""

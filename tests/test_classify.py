@@ -20,7 +20,10 @@ from gbsclass.classify import (
     CountFormula,
     _components,
     _expectation,
+    _pack,
     _state,
+    _universe_size,
+    _unpack,
     enumerate_pairs,
     enumerate_triples,
     expected_count,
@@ -191,8 +194,24 @@ def test_triple_counts_frozen() -> None:
 
 def test_triple_class_counts_every_dimension() -> None:
     """Every count at d = 2..32, read from the components without labelling."""
-    counts = {d: len(_state(d, 3)[3]) for d in range(2, 33)}
+    counts = {d: len(_state(d, 3)[1]) for d in range(2, 33)}
     assert counts == TRIPLE_COUNTS
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 9, 16])
+def test_state_numbering(d: int) -> None:
+    """Triples are numbered in ``triu`` order of their two codes.
+
+    Packing inverts unpacking for pairs and triples, in either member order.
+    """
+    rows, cols = np.triu_indices(d * d - 1, k=1)
+    M1, M2 = _unpack(d, 3, np.arange(rows.size))
+    assert (M1 == rows + 1).all() and (M2 == cols + 1).all()
+    for size in (2, 3):
+        states = np.arange(_universe_size(d, size))
+        codes = _unpack(d, size, states)
+        assert (_pack(d, *codes) == states).all()
+        assert (_pack(d, *codes[::-1]) == states).all()
 
 
 def _ablation(d: int, dropped: str, count: int):
@@ -219,10 +238,10 @@ def test_minimal_move_set(d: int, dropped: str, count: int) -> None:
     the rule, whose soundness is shown only through invariant
     preservation.
     """
-    (M1, _), _, moves, class_roots, inverse = _state(d, 3)
+    moves, class_roots, inverse = _state(d, 3)
     kept = [mv for mv in moves if mv[0] != dropped]
     assert len(kept) == len(moves) - 1
-    roots = _components(M1.shape[0], kept)
+    roots = _components(inverse.shape[0], kept)
     assert np.count_nonzero(roots == np.arange(roots.size)) == count
     if count == class_roots.size:
         assert (roots == class_roots[inverse]).all()
@@ -252,7 +271,8 @@ def test_move_arrows_replay_label_by_label() -> None:
     rng = np.random.default_rng(20261018)
     for d in (8, 9, 16, 25, 27, 32):
         sample = None if d < 16 else rng
-        (M1, M2), _, moves, _, _ = _state(d, 3)
+        moves, _, inverse = _state(d, 3)
+        M1, M2 = _unpack(d, 3, np.arange(inverse.shape[0]))
 
         def triple(i: int) -> GpmSet:
             return GpmSet(d, ((0, 0), divmod(int(M1[i]), d), divmod(int(M2[i]), d)))
@@ -262,7 +282,7 @@ def test_move_arrows_replay_label_by_label() -> None:
         def pair(i: int) -> GpmSet:
             return GpmSet(d, ((0, 0), divmod(i, d)))
 
-        _assert_arrows_replay(d, d * d, pair, _state(d, 2)[2], sample)
+        _assert_arrows_replay(d, d * d, pair, _state(d, 2)[0], sample)
 
 
 def test_triple_orbits_cover_universe() -> None:
@@ -320,6 +340,8 @@ def test_locate_class_input_validation() -> None:
         locate_class(8, s("0,0;0,1;1,0", 9))  # dimension mismatch
     with pytest.raises(ValueError):
         locate_class(9, GpmSet(9, ((0, 0), (0, 1), (0, 1))))
+    with pytest.raises(ValueError):
+        locate_class(9, GpmSet(9, ((0, 0), (0, 0), (1, 0))))  # identity twice
 
 
 def test_dimension_caps() -> None:

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gbsclass
 from gbsclass.classify import MAX_STATES
 from gbsclass.cli import main
 from gbsclass.config import Config, parse_config
@@ -205,6 +210,17 @@ def test_verify_cap() -> None:
     res = run("verify", "--prime-power", "3", "99999")
     assert res.exit_code == 3
     assert "capped at 64, got d >= 2^158494" in res.output
+
+
+def test_module_entry_point_keeps_exit_codes() -> None:
+    """``python -m gbsclass.cli`` runs the CLI, so a usage error exits 2."""
+    src = str(Path(gbsclass.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "gbsclass.cli", "verify", "--prime-power", "1000003", "1"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 2, res.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -153,11 +153,11 @@ def test_witness_tables_edge_cases() -> None:
 
 @pytest.mark.parametrize("d", [8, 9, 16, 25])
 def test_witness_tables_triples(d: int) -> None:
-    (M1, _), _, moves, roots, _ = _state(d, 3)
-    _check_witness_tables(M1.shape[0], moves, roots)
+    moves, roots, inverse = _state(d, 3)
+    _check_witness_tables(inverse.shape[0], moves, roots)
 
 
 @pytest.mark.parametrize("d", [9, 64])
 def test_witness_tables_pairs(d: int) -> None:
-    _, _, moves, roots, _ = _state(d, 2)
+    moves, roots, _ = _state(d, 2)
     _check_witness_tables(d * d, moves, roots)

@@ -14,7 +14,9 @@ on the README example and the second ``--help`` example, in every
 format.  The ``cli pairs|triples args sha256`` lines cover the exit code
 and output of the classification commands: ``triples --dim 9`` in every
 format, ``pairs --dim 12`` with witnesses as JSON, and the refusals of
-``triples --dim 33`` (exit 3) and ``pairs --dim 1`` (exit 2).
+``triples --dim 33`` (exit 3) and ``pairs --dim 1`` (exit 2).  Each
+``locate d sha256`` line covers ``locate_class(d, S)`` of every normalized
+triple S at d = 8, 9, 12 and 16, in sorted order.
 
 Run it against two trees and diff the output to check that a change
 keeps the contract byte-identical:
@@ -25,12 +27,13 @@ keeps the contract byte-identical:
 from __future__ import annotations
 
 import hashlib
+from itertools import combinations
 
 from click.testing import CliRunner
 
 from gbsclass import classify
 from gbsclass.cli import main as cli_main
-from gbsclass.pauli import invariant_vector
+from gbsclass.pauli import GpmSet, invariant_vector
 
 GRID = [("triples", d) for d in range(2, 33)] + [
     ("pairs", d) for d in [*range(2, 65), 100, 128, 243, 256, 500, 729, 1000, 1024]
@@ -46,6 +49,7 @@ CLI_CLASSIFY = [
     ["triples", "--dim", "33"],
     ["pairs", "--dim", "1"],
 ]
+LOCATE_DIMS = (8, 9, 12, 16)
 
 
 def sha(text: str) -> str:
@@ -61,6 +65,14 @@ def invariant_text(cls: classify.Classification) -> str:
         values = [iv.i1.value()] + [pb.i1.value() for _, pb in sorted(iv.powered.items())]
         parts.append(f"{c.representative.to_text()} {iv.key()!r} {values!r}\n")
     return "".join(parts)
+
+
+def locate_text(d: int) -> str:
+    """The class of every normalized triple at d, one line each."""
+    return "".join(
+        f"{classify.locate_class(d, GpmSet(d, ((0, 0), divmod(a, d), divmod(b, d))))}\n"
+        for a, b in combinations(range(1, d * d), 2)
+    )
 
 
 def main() -> None:
@@ -80,6 +92,8 @@ def main() -> None:
     for args in CLI_CLASSIFY:
         res = runner.invoke(cli_main, args)
         print("cli", " ".join(args), sha(f"{res.exit_code}\n{res.output}"), flush=True)
+    for d in LOCATE_DIMS:
+        print("locate", d, sha(locate_text(d)), flush=True)
 
 
 if __name__ == "__main__":
