@@ -491,28 +491,16 @@ class Classification:
         ]
 
     def to_json_dict(self) -> dict:
-        def inv_block(iv) -> dict:
-            return {
-                "I1_args": list(iv.i1.args),
-                "I2": {str(a): v for a, v in sorted(iv.i2.items())},
-                "I3": {str(a): v for a, v in sorted(iv.i3.items())},
+        classes = [
+            {
+                "representative": c.representative.to_text(),
+                "orbit_size": c.orbit_size,
+                "invariants": c.invariants.to_dict(),
+                "separation": c.separation,
+                "witness": c.witness,
             }
-
-        classes = []
-        for c in self.classes:
-            block = inv_block(c.invariants)
-            block["powered"] = {
-                str(t): inv_block(pb) for t, pb in sorted(c.invariants.powered.items())
-            }
-            classes.append(
-                {
-                    "representative": c.representative.to_text(),
-                    "orbit_size": c.orbit_size,
-                    "invariants": block,
-                    "separation": c.separation,
-                    "witness": c.witness,
-                }
-            )
+            for c in self.classes
+        ]
         return {
             "dimension": self.dimension,
             "mode": self.mode,
@@ -543,14 +531,15 @@ class Classification:
         ]
         a_col, a0, t0 = self._display_keys()
         width = len(str(self.count))
-        for i, c in enumerate(self.classes, start=1):
+        for i, (c, (rep, i1, i2, i3, i3p)) in enumerate(
+                zip(self.classes, self.table_rows()), start=1):
             lines.append(
-                f"  {i:>{width}}. {{{c.representative.to_text()}}}"
+                f"  {i:>{width}}. {{{rep}}}"
                 f"  orbit {c.orbit_size}"
-                f"  I1 {c.invariants.i1.value():.2f}"
-                f"  I2[{a_col}] {c.invariants.i2[a_col]}"
-                f"  I3[{a0}] {c.invariants.i3[a0]}"
-                f"  pow{t0}.I3[{a0}] {c.invariants.powered[t0].i3[a0]}"
+                f"  I1 {i1:.2f}"
+                f"  I2[{a_col}] {i2}"
+                f"  I3[{a0}] {i3}"
+                f"  pow{t0}.I3[{a0}] {i3p}"
                 f"  {c.separation}"
             )
             if c.witness is not None:

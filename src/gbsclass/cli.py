@@ -11,6 +11,7 @@ errors, 3 when a resource cap refuses the request.
 
 from __future__ import annotations
 
+import json
 import sys
 
 import click
@@ -59,6 +60,8 @@ def _classify(enumerate_, dim: int, fmt: str | None, emit_witnesses: bool) -> No
     except DimensionTooLarge as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_RESOURCE)
+    except PowerOutOfRange as exc:
+        raise click.UsageError(str(exc))
     _emit(result, fmt or cfg.format)
     sys.exit(EXIT_FAIL if result.status == STATUS_PARTIAL else 0)
 
@@ -154,24 +157,11 @@ def invariants(dim: int, set_text: str, a_vals: tuple[int, ...],
     probes = sorted(iv.i3)
     fmt = fmt or cfg.format
     if fmt == "json":
-        block = {
-            "I1": iv.i1.value(),
-            "I1_args": list(iv.i1.args),
-            "I2": {str(a): v for a, v in sorted(iv.i2.items())},
-            "I3": {str(a): v for a, v in sorted(iv.i3.items())},
-            "powered": {
-                str(t): {
-                    "I1": pb.i1.value(),
-                    "I1_args": list(pb.i1.args),
-                    "I2": {str(a): v for a, v in sorted(pb.i2.items())},
-                    "I3": {str(a): v for a, v in sorted(pb.i3.items())},
-                }
-                for t, pb in sorted(iv.powered.items())
-            },
-        }
-        import json as _json
-
-        click.echo(_json.dumps(
+        block = iv.to_dict()
+        block["I1"] = iv.i1.value()
+        for t, pb in iv.powered.items():
+            block["powered"][str(t)]["I1"] = pb.i1.value()
+        click.echo(json.dumps(
             {"dimension": dim, "set": S.to_text(), "invariants": block},
             indent=2, sort_keys=True,
         ))

@@ -7,15 +7,15 @@ checked entrywise, and maximally entangled states are built as explicit
 d^2 vectors.  Agreement between this module and the exact engine is what
 the test suite (and the ``verify`` CLI command) leans on.
 
-Matrices are capped at ``MATRIX_CAP`` rows by default; everything here is
-O(d^3) or worse and is meant for verification, not production runs.
+Matrices are capped at ``MATRIX_CAP`` rows; everything here is O(d^3) or
+worse and is meant for verification, not production runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .pauli import Gpm, GpmSet, InvariantVector, default_probes
+from .pauli import Gpm, GpmSet, InvariantVector, PoweredInvariants, default_probes
 from .residues import inv_mod, prime_power
 
 MATRIX_CAP = 64
@@ -28,23 +28,23 @@ class CapExceeded(ValueError):
     """The requested dimension is above the dense-matrix cap."""
 
 
-def _check_cap(d: int, cap: int = MATRIX_CAP) -> None:
-    if d > cap:
+def _check_cap(d: int) -> None:
+    if d > MATRIX_CAP:
         # past 4300 digits Python refuses to print an int in decimal
         got = f"d={d}" if d < 10**18 else f"d >= 2^{d.bit_length() - 1}"
-        raise CapExceeded(f"dense matrices capped at {cap}, got {got}")
+        raise CapExceeded(f"dense matrices capped at {MATRIX_CAP}, got {got}")
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
 
 
-def build_gpm_matrix(g: Gpm, cap: int = MATRIX_CAP) -> np.ndarray:
+def build_gpm_matrix(g: Gpm) -> np.ndarray:
     """The unitary X^s Z^t as an explicit matrix.
 
     X is the cyclic shift sum_k |k+1><k| and Z the clock diag(w^k) with
     w = exp(2 pi i / d), so column k of the product carries w^(t k) in
     row (k + s) mod d.
     """
-    _check_cap(g.d, cap)
+    _check_cap(g.d)
     d = g.d
     cols = np.arange(d)
     U = np.zeros((d, d), dtype=complex)
@@ -52,8 +52,7 @@ def build_gpm_matrix(g: Gpm, cap: int = MATRIX_CAP) -> np.ndarray:
     return U
 
 
-def build_clifford(name: str, d: int, k: int | None = None,
-                   cap: int = MATRIX_CAP) -> np.ndarray:
+def build_clifford(name: str, d: int, k: int | None = None) -> np.ndarray:
     """Explicit matrix for a Clifford generator.
 
     P is the diagonal quadratic-phase gate (w^(k(k-1)/2) entries for odd
@@ -61,7 +60,7 @@ def build_clifford(name: str, d: int, k: int | None = None,
     Q(k) the index-scaling permutation |j> -> |j/k>, and V the word
     P P R P R P P.
     """
-    _check_cap(d, cap)
+    _check_cap(d)
     j = np.arange(d)
     if name == "P":
         if d % 2:
@@ -70,8 +69,8 @@ def build_clifford(name: str, d: int, k: int | None = None,
     if name == "R":
         return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
     if name == "V":
-        P = build_clifford("P", d, cap=cap)
-        R = build_clifford("R", d, cap=cap)
+        P = build_clifford("P", d)
+        R = build_clifford("R", d)
         return P @ P @ R @ P @ R @ P @ P
     if name == "Q":
         if k is None:
@@ -83,19 +82,18 @@ def build_clifford(name: str, d: int, k: int | None = None,
     raise ValueError(f"unknown generator {name!r}")
 
 
-def q_word_matrix(d: int, k: int, cap: int = MATRIX_CAP) -> np.ndarray:
+def q_word_matrix(d: int, k: int) -> np.ndarray:
     """The scaling gate written as the word R P^(1/k) R P^k R P^(1/k)."""
-    _check_cap(d, cap)
-    P = build_clifford("P", d, cap=cap)
-    R = build_clifford("R", d, cap=cap)
+    _check_cap(d)
+    P = build_clifford("P", d)
+    R = build_clifford("R", d)
     ki = inv_mod(k, d)
     Pk = np.linalg.matrix_power(P, k % d)
     Pki = np.linalg.matrix_power(P, ki)
     return R @ Pki @ R @ Pk @ R @ Pki
 
 
-def build_w(p: int, alpha: int, s: int, t: int, k: int,
-            cap: int = MATRIX_CAP) -> np.ndarray:
+def build_w(p: int, alpha: int, s: int, t: int, k: int) -> np.ndarray:
     """The sublattice multiplier permutation on d = p**alpha levels.
 
     Writing n = j + c p**t with 0 <= j < p**t, the permutation sends n to
@@ -104,7 +102,7 @@ def build_w(p: int, alpha: int, s: int, t: int, k: int,
     1 <= k < p**s.
     """
     d = p**alpha
-    _check_cap(d, cap)
+    _check_cap(d)
     if alpha < 2 or s < 1 or t < 0 or s + t >= alpha or not 1 <= k < p**s:
         raise ValueError(f"bad sublattice context s={s} t={t} k={k} alpha={alpha}")
     n = np.arange(d)
@@ -140,9 +138,9 @@ def verify_conjugation(U: np.ndarray, A: np.ndarray, B: np.ndarray,
     return equal_up_to_phase(U @ A @ U.conj().T, B, tol)
 
 
-def gbs_vector(g: Gpm, cap: int = MATRIX_CAP) -> np.ndarray:
+def gbs_vector(g: Gpm) -> np.ndarray:
     """The bipartite state (I (x) X^s Z^t) applied to sum_k |kk>/sqrt(d)."""
-    U = build_gpm_matrix(g, cap)
+    U = build_gpm_matrix(g)
     d = g.d
     v = np.zeros(d * d, dtype=complex)
     for k in range(d):
@@ -150,12 +148,12 @@ def gbs_vector(g: Gpm, cap: int = MATRIX_CAP) -> np.ndarray:
     return v / np.sqrt(d)
 
 
-def gbs_overlap(a: Gpm, b: Gpm, cap: int = MATRIX_CAP) -> complex:
+def gbs_overlap(a: Gpm, b: Gpm) -> complex:
     """Inner product of two maximally entangled basis states, Tr(A^dag B)/d."""
     if a.d != b.d:
         raise ValueError(f"dimension mismatch {a.d} != {b.d}")
-    A = build_gpm_matrix(a, cap)
-    B = build_gpm_matrix(b, cap)
+    A = build_gpm_matrix(a)
+    B = build_gpm_matrix(b)
     return complex(np.trace(A.conj().T @ B) / a.d)
 
 
@@ -209,7 +207,6 @@ def numeric_invariants(
     S: GpmSet,
     i3_probes: tuple[int, ...] | None = None,
     power_probes: tuple[int, ...] | None = None,
-    cap: int = MATRIX_CAP,
 ) -> dict:
     """Invariants of a Pauli set evaluated from dense matrices only.
 
@@ -220,12 +217,12 @@ def numeric_invariants(
     dimension's standard probe lists.
     """
     d = S.d
-    _check_cap(d, cap)
+    _check_cap(d)
     default_i3, default_pow = default_probes(d)
     i3_probes = default_i3 if i3_probes is None else i3_probes
     power_probes = default_pow if power_probes is None else power_probes
 
-    mats = [build_gpm_matrix(Gpm(d, s, t), cap) for s, t in S.members]
+    mats = [build_gpm_matrix(Gpm(d, s, t)) for s, t in S.members]
 
     def block(ms: list[np.ndarray]) -> dict:
         D = _difference_stack(ms)
@@ -244,29 +241,24 @@ def numeric_invariants(
 
 def invariant_floats(iv: InvariantVector) -> dict:
     """The exact invariant vector flattened to the numeric layout."""
-    return {
-        "i1": iv.i1.value(),
-        "i2": {a: float(v) for a, v in iv.i2.items()},
-        "i3": {a: float(v) for a, v in iv.i3.items()},
-        "powered": {
-            t: {
-                "i1": pb.i1.value(),
-                "i2": {a: float(v) for a, v in pb.i2.items()},
-                "i3": {a: float(v) for a, v in pb.i3.items()},
-            }
-            for t, pb in iv.powered.items()
-        },
-    }
+    def block(pb: PoweredInvariants) -> dict:
+        return {
+            "i1": pb.i1.value(),
+            "i2": {a: float(v) for a, v in pb.i2.items()},
+            "i3": {a: float(v) for a, v in pb.i3.items()},
+        }
+
+    return {**block(iv), "powered": {t: block(pb) for t, pb in iv.powered.items()}}
 
 
-def compare_invariants(exact: dict, numeric: dict, tol: float = TOL_PHASE) -> float:
+def compare_invariants(exact: dict, numeric: dict) -> float:
     """Largest absolute deviation between two invariant layouts."""
     worst = abs(exact["i1"] - numeric["i1"])
     for key in ("i2", "i3"):
         for a, v in exact[key].items():
             worst = max(worst, abs(v - numeric[key][a]))
     for t, pb in exact.get("powered", {}).items():
-        worst = max(worst, compare_invariants(pb, numeric["powered"][t], tol))
+        worst = max(worst, compare_invariants(pb, numeric["powered"][t]))
     return worst
 
 

@@ -297,6 +297,8 @@ def default_probes(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class PoweredInvariants:
+    """The three invariants of one set: I1, I2 at every a, I3 at each probe."""
+
     i1: CosFingerprint
     i2: dict[int, int] = field(hash=False)
     i3: dict[int, int] = field(hash=False)
@@ -307,24 +309,30 @@ class PoweredInvariants:
             tuple(sorted(self.i2.items())),
             tuple(sorted(self.i3.items())),
         )
+
+    def to_dict(self) -> dict:
+        """The JSON block: I1 arguments, and I2 and I3 keyed by probe."""
+        return {
+            "I1_args": list(self.i1.args),
+            "I2": {str(a): v for a, v in sorted(self.i2.items())},
+            "I3": {str(a): v for a, v in sorted(self.i3.items())},
+        }
 
 
 @dataclass(frozen=True)
-class InvariantVector:
+class InvariantVector(PoweredInvariants):
     """Everything the separator compares: base and powered-set invariants."""
 
-    i1: CosFingerprint
-    i2: dict[int, int] = field(hash=False)
-    i3: dict[int, int] = field(hash=False)
     powered: dict[int, PoweredInvariants] = field(hash=False)
 
     def key(self) -> tuple:
-        return (
-            self.i1.args,
-            tuple(sorted(self.i2.items())),
-            tuple(sorted(self.i3.items())),
-            tuple((t, pe.key()) for t, pe in sorted(self.powered.items())),
-        )
+        return (*super().key(),
+                tuple((t, pe.key()) for t, pe in sorted(self.powered.items())))
+
+    def to_dict(self) -> dict:
+        """The base block plus one block per power, keyed by the power."""
+        return {**super().to_dict(),
+                "powered": {str(t): pe.to_dict() for t, pe in sorted(self.powered.items())}}
 
 
 def invariant_vector(

@@ -277,6 +277,17 @@ def test_config_custom_probes(tmp_path) -> None:
     assert "pow 5:" in res.output
 
 
+def test_config_probe_out_of_range_is_usage_error(tmp_path) -> None:
+    """A probe outside (0, d) from the config file ends in exit 2, not a traceback."""
+    cfg = tmp_path / "gbs.cfg"
+    for line, bad in (("i3_a = 50\n", 50), ("powers = 9\n", 9)):
+        cfg.write_text(line)
+        for mode in ("pairs", "triples"):
+            res = run(mode, "--dim", "9", env={"GBSCLASS_CONFIG": str(cfg)})
+            assert res.exit_code == 2, (line, mode, res.output)
+            assert f"probe must satisfy 0 < a < 9, got {bad}" in res.output
+
+
 def test_config_errors_are_usage_errors(tmp_path) -> None:
     cfg = tmp_path / "gbs.cfg"
     cfg.write_text("mystery_knob = 3\n")

@@ -1,8 +1,11 @@
 """The output contract, pinned byte for byte.
 
-Each hash is the sha256 of ``to_json() + to_text() + to_csv()`` of one
-classification, as ``tools/contract_digest.py`` prints it.  The grid
-leaves out the dimensions whose output is expected to change.
+Each classification hash is the sha256 of ``to_json() + to_text() +
+to_csv()`` of one classification, as ``tools/contract_digest.py`` prints
+it.  The grid leaves out the dimensions whose output is expected to
+change.  Each ``gbsclass invariants`` hash covers the exit code and the
+output of one example in one format, as the ``cli invariants k fmt``
+lines of the same tool print them.
 """
 
 from __future__ import annotations
@@ -10,8 +13,10 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from click.testing import CliRunner
 
 from gbsclass.classify import enumerate_pairs, enumerate_triples
+from gbsclass.cli import main
 
 CONTRACT = {
     ("triples", 8, False): "3f9caa81b117320ee0c1d2e0c8fb14cf5eafd53b22f1785790d13b38cf626b92",
@@ -39,3 +44,25 @@ def test_output_contract_is_pinned(mode: str, d: int, witnesses: bool) -> None:
     cls = run(d, witnesses)
     text = cls.to_json() + cls.to_text() + cls.to_csv()
     assert hashlib.sha256(text.encode()).hexdigest() == CONTRACT[mode, d, witnesses]
+
+
+INVARIANTS_EXAMPLES = {
+    1: ["--dim", "9", "--set", "0,0;0,1;3,0", "--a", "3", "--pow", "3"],
+    2: ["--dim", "8", "--set", "0,0;0,1;4,2", "--a", "4", "--pow", "2"],
+}
+
+INVARIANTS_CONTRACT = {
+    (1, "json"): "93a6a7ce25af4b83f990dac990a01d05c6ab516a36431cbd9c74508560882e37",
+    (1, "csv"): "a9435a1d79fb741d02868168fa6a22750c91f7dc2c030e97190fc44e983ea8bf",
+    (1, "text"): "7f97622172ccc9e5aa23af1f4a49b062fe67a216b7cdf6786e20e381e0637ce3",
+    (2, "json"): "5b6316217ee4ad34fc6d53b89bcebb5170e2dafe316c33b2c0004da44c5ad726",
+    (2, "csv"): "154e8bc34061e6d37f8970e680e815407eb0b4445a784dd2e359e0287bbb8c84",
+    (2, "text"): "5576eaa30379ef4cfa610c8e6f0db989559ec68f5e33a37cf1a2a2aaa32b13b6",
+}
+
+
+@pytest.mark.parametrize("k, fmt", list(INVARIANTS_CONTRACT))
+def test_invariants_command_output_is_pinned(k: int, fmt: str) -> None:
+    res = CliRunner().invoke(main, ["invariants", *INVARIANTS_EXAMPLES[k], "--format", fmt])
+    text = f"{res.exit_code}\n{res.output}"
+    assert hashlib.sha256(text.encode()).hexdigest() == INVARIANTS_CONTRACT[k, fmt]

@@ -381,3 +381,17 @@ def test_invariant_vector_key_is_hashable_and_stable() -> None:
 def test_invariant_vector_ignores_translation() -> None:
     S = s("0,0;0,1;3,2", 9)
     assert invariant_vector(S.translated((4, 5))).key() == invariant_vector(S).key()
+
+
+def test_invariant_vector_to_dict_layout() -> None:
+    """One block layout for the set and for each power; keys are strings."""
+    iv = invariant_vector(s("0,0;0,1;1,0", 9), i3_probes=(2,), power_probes=(3,))
+    assert isinstance(iv, pauli.PoweredInvariants)
+    doc = iv.to_dict()
+    assert sorted(doc) == ["I1_args", "I2", "I3", "powered"]
+    assert doc["I1_args"] == list(iv.i1.args)
+    assert doc["I2"] == {str(a): iv.i2[a] for a in range(1, 9)}
+    assert doc["I3"] == {"2": iv.i3[2]}
+    assert doc["powered"] == {"3": iv.powered[3].to_dict()}
+    assert sorted(doc["powered"]["3"]) == ["I1_args", "I2", "I3"]
+    assert iv.key() == (*pauli.PoweredInvariants.key(iv), ((3, iv.powered[3].key()),))

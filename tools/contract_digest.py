@@ -14,7 +14,10 @@ on the README example and the second ``--help`` example, in every
 format.  The ``cli pairs|triples args sha256`` lines cover the exit code
 and output of the classification commands: ``triples --dim 9`` in every
 format, ``pairs --dim 12`` with witnesses as JSON, and the refusals of
-``triples --dim 33`` (exit 3) and ``pairs --dim 1`` (exit 2).  Each
+``triples --dim 33`` (exit 3) and ``pairs --dim 1`` (exit 2).  The
+``cli verify args sha256`` lines cover the exit code and output of the
+dense-matrix suite: ``verify --prime-power 2 3``, ``verify --dim 6`` and
+the refusal of ``verify --dim 80`` (exit 3).  Each
 ``locate d sha256`` line covers ``locate_class(d, S)`` of every normalized
 triple S at d = 8, 9, 12 and 16, in sorted order.
 
@@ -43,11 +46,14 @@ CLI_EXAMPLES = [
     ["--dim", "9", "--set", "0,0;0,1;3,0", "--a", "3", "--pow", "3"],
     ["--dim", "8", "--set", "0,0;0,1;4,2", "--a", "4", "--pow", "2"],
 ]
-CLI_CLASSIFY = [
+CLI_COMMANDS = [
     *(["triples", "--dim", "9", "--format", fmt] for fmt in ("json", "csv", "text")),
     ["pairs", "--dim", "12", "--emit-witnesses", "--format", "json"],
     ["triples", "--dim", "33"],
     ["pairs", "--dim", "1"],
+    ["verify", "--prime-power", "2", "3"],
+    ["verify", "--dim", "6"],
+    ["verify", "--dim", "80"],
 ]
 LOCATE_DIMS = (8, 9, 12, 16)
 
@@ -89,7 +95,7 @@ def main() -> None:
         for fmt in ("json", "csv", "text"):
             res = runner.invoke(cli_main, ["invariants", *args, "--format", fmt])
             print("cli invariants", k, fmt, sha(f"{res.exit_code}\n{res.output}"), flush=True)
-    for args in CLI_CLASSIFY:
+    for args in CLI_COMMANDS:
         res = runner.invoke(cli_main, args)
         print("cli", " ".join(args), sha(f"{res.exit_code}\n{res.output}"), flush=True)
     for d in LOCATE_DIMS:
