@@ -2,8 +2,8 @@
 
 Each classification line is ``mode d witnesses sha256`` over
 ``to_json() + to_text() + to_csv()`` of one classification.  The grid is
-triples at d = 2..32 and pairs at d = 2..64, 100, 128, 243, 256, 500,
-729, 1000 and 1024, each with and without witnesses.
+triples at d = 2..32 and pairs at d = 2..64, 100, 128, 210, 243, 256,
+360, 500, 720, 729, 997, 1000 and 1024, each with and without witnesses.
 
 Each ``mode d invariants sha256`` line covers the numbers behind the
 labels: ``invariant_vector(rep, range(1, d), range(1, d))`` of every
@@ -39,7 +39,8 @@ from gbsclass.cli import main as cli_main
 from gbsclass.pauli import GpmSet, invariant_vector
 
 GRID = [("triples", d) for d in range(2, 33)] + [
-    ("pairs", d) for d in [*range(2, 65), 100, 128, 243, 256, 500, 729, 1000, 1024]
+    ("pairs", d)
+    for d in [*range(2, 65), 100, 128, 210, 243, 256, 360, 500, 720, 729, 997, 1000, 1024]
 ]
 INVARIANT_CAP = {"triples": 32, "pairs": 64}
 CLI_EXAMPLES = [
