@@ -35,6 +35,10 @@ CONTRACT = {
     ("pairs", 12, True): "3d06a3b1a50c5165b90f5a86ded2e31bea9162ea5c5576cad47aefdb7b14ed48",
     ("pairs", 36, False): "265e8d18f6915fcc146b5574a805a98f4c1dfb9c7d19899ca10373c85b3cb7a0",
     ("pairs", 36, True): "01458ee21f128d4cecf9edfe8ef55e0077317af3c7d72d7ec8b6bfb87d14392a",
+    ("pairs", 720, False): "bd234091871257300d9fb48866241f462db41a95c2401b7d33b9a19677a2d3cf",
+    ("pairs", 997, False): "599e6675b46c1dbe10610cb9e340bc254c3582419c69d1c739294520cc1dedc1",
+    ("pairs", 1024, False): "0f4e2f453b88bad71882246117b307fb186a4a168d107b9b662e288f09830fd9",
+    ("pairs", 1024, True): "d9a3b3167b2deadcb5427edd3854cc906551379d1f21864abcb93224a1afd6da",
 }
 
 
