@@ -21,6 +21,12 @@ correct; on triples at p^alpha with alpha >= 2, equal-invariant
 components are separated, where possible, by the sign-flip feasibility
 criterion, and final counts are compared against closed-form
 expectations on the dimensions where those are valid.
+
+Pairs without witnesses skip the state graph: their classes come from
+the divisors of d, in :func:`_divisor_classes`.  SL(2, Z_d), generated
+by the moves P and R, maps v to (0, gcd(v, d)), and the order of v is an
+invariant, so there is one class per divisor g of d, holding the
+J_2(d/g) vectors of gcd g, and its least state is the code g mod d.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from .config import DEFAULT_ENUM_CAP
 from .moves import Move, PreconditionViolated, Tables, enumerator_moves, tables
-from .pauli import GpmSet, InvariantVector, invariant_table, invariant_vector
+from .pauli import GpmSet, InvariantVector, check_probe, invariant_table, invariant_vector
 from .residues import BRACKET, DOUBLE, bracket_partition, factorize, prime_power
 
 MAX_STATES = 12 * 10**6
@@ -308,6 +314,28 @@ def _state(d: int, size: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
         moves = _moves(d, size)
         _STATE[d, size] = (moves, *_classes(_components(_universe_size(d, size), moves)))
     return _STATE[d, size]
+
+
+def _divisor_classes(d: int) -> tuple[np.ndarray, list[int]]:
+    """Pair class roots in ascending order, and their orbit sizes.
+
+    The class of divisor g holds the pairs {identity, v} with gcd(v, d) =
+    g; its root is the code g mod d of (0, g), so the identity pair
+    (g = d) comes first.  There are J_2(d/g) such v, Jordan's totient
+    J_2(n) = n^2 * prod over primes p | n of (1 - p^-2), and J_2(1) = 1.
+    """
+    primes = [p for p, _ in factorize(d)]
+
+    def jordan2(n: int) -> int:
+        j = n * n
+        for p in primes:
+            if n % p == 0:
+                j = j // (p * p) * (p * p - 1)
+        return j
+
+    divisors = [g for g in range(1, d + 1) if d % g == 0]
+    roots, sizes = zip(*sorted((g % d, jordan2(d // g)) for g in divisors))
+    return np.array(roots, dtype=np.int64), list(sizes)
 
 
 def _check_dim(d: int, mode: str, enum_cap: int) -> None:
@@ -612,11 +640,23 @@ def _classify(
     i3_probes: tuple[int, ...] | None,
     power_probes: tuple[int, ...] | None,
 ) -> Classification:
-    """Classify every normalized pair or triple at dimension d."""
+    """Classify every normalized pair or triple at dimension d.
+
+    Pairs without witnesses take their classes from the divisors of d,
+    as the state graph would give them: P and R generate SL(2, Z_d),
+    which carries v to (0, gcd(v, d)), and J_2(d/g) vectors have gcd g.
+    Witnesses and triples build the graph of :func:`_state`, after the
+    caps and the probes are checked.
+    """
     _check_dim(d, mode, enum_cap)
+    for a in (*(i3_probes or ()), *(power_probes or ())):
+        check_probe(a, d)
     size = 2 if mode == "pairs" else 3
-    moves, class_roots, inverse = _state(d, size)
-    sizes = np.bincount(inverse)
+    if size == 2 and not emit_witnesses:
+        class_roots, sizes = _divisor_classes(d)
+    else:
+        moves, class_roots, inverse = _state(d, size)
+        sizes = np.bincount(inverse)
     C = len(class_roots)
 
     reps = [

@@ -173,7 +173,8 @@ class CosFingerprint:
         return float(sum(2.0 - 2.0 * math.cos(2.0 * math.pi * m / d) for m in self.args))
 
 
-def _check_probe(a: int, d: int) -> None:
+def check_probe(a: int, d: int) -> None:
+    """Refuse a power or shift probe outside (0, d) with PowerOutOfRange."""
     if not 0 < a < d:
         raise PowerOutOfRange(f"probe must satisfy 0 < a < {d}, got {a}")
 
@@ -229,7 +230,7 @@ def invariant_table(
     """
     d = S.d
     for a in (*shifts, *powers):
-        _check_probe(a, d)
+        check_probe(a, d)
     if not powers:
         return []
     members = np.array(S.members, dtype=np.int64)
@@ -257,7 +258,7 @@ def invariant1(S: GpmSet) -> CosFingerprint:
 def invariant2(S: GpmSet, a: int) -> int:
     """Power-trace invariant: how many ordered pairs (i, j) have (M_i^+ M_j)^a
     proportional to the identity, i.e. a * v_ij = 0 mod d."""
-    _check_probe(a, S.d)
+    check_probe(a, S.d)
     return invariant_table(S, (1,), ())[0][1][a - 1]
 
 
@@ -273,7 +274,7 @@ def invariant3(S: GpmSet, a: int) -> int:
 
 def powered_set(S: GpmSet, t: int) -> GpmSet:
     """Member-wise t-th power: exponent vectors scale by t; repeats kept."""
-    _check_probe(t, S.d)
+    check_probe(t, S.d)
     d = S.d
     return GpmSet(d, tuple(((t * s) % d, (t * tt) % d) for s, tt in S.members))
 

@@ -18,7 +18,9 @@ from gbsclass.classify import (
     DimensionTooLarge,
     OutOfDomain,
     CountFormula,
+    _STATE,
     _components,
+    _divisor_classes,
     _expectation,
     _pack,
     _state,
@@ -168,6 +170,21 @@ def test_pair_orbit_sizes_cover_universe() -> None:
     for d in (6, 9, 12):
         rep = enumerate_pairs(d)
         assert sum(c.orbit_size for c in rep.classes) == d * d
+
+
+def test_divisor_classes_match_the_state_graph() -> None:
+    """Divisor roots and J_2 sizes are the graph's classes; no graph is built."""
+    for d in (*range(2, 129), 210, 360, 720, 997, 1000, 1024):
+        before = set(_STATE)
+        enumerate_pairs(d)
+        assert set(_STATE) == before, d
+        roots, sizes = _divisor_classes(d)
+        assert sum(sizes) == d * d, d
+        _, class_roots, inverse = _state(d, 2)
+        assert roots.tolist() == class_roots.tolist(), d
+        assert sizes == np.bincount(inverse).tolist(), d
+        if (d, 2) not in before:
+            del _STATE[d, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import gbsclass
-from gbsclass.classify import MAX_STATES
+from gbsclass.classify import _STATE, MAX_STATES
 from gbsclass.cli import main
 from gbsclass.config import Config, parse_config
 from gbsclass.pauli import MAX_I2_ENTRIES, GpmSet, invariant_vector
@@ -286,6 +286,23 @@ def test_config_probe_out_of_range_is_usage_error(tmp_path) -> None:
             res = run(mode, "--dim", "9", env={"GBSCLASS_CONFIG": str(cfg)})
             assert res.exit_code == 2, (line, mode, res.output)
             assert f"probe must satisfy 0 < a < 9, got {bad}" in res.output
+
+
+def test_config_probe_is_refused_before_enumerating(tmp_path, monkeypatch) -> None:
+    """A bad config probe exits 2 before any state of the enumeration is built."""
+    monkeypatch.delitem(_STATE, (32, 3), raising=False)
+    cfg = tmp_path / "gbs.cfg"
+    cfg.write_text("i3_a = 50\n")
+    tracemalloc.start()
+    try:
+        res = run("triples", "--dim", "32", env={"GBSCLASS_CONFIG": str(cfg)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 2, res.output
+    assert "probe must satisfy 0 < a < 32, got 50" in res.output
+    assert (32, 3) not in _STATE
+    assert peak < 2**20, peak
 
 
 def test_config_errors_are_usage_errors(tmp_path) -> None:
