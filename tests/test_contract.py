@@ -31,12 +31,15 @@ CONTRACT = {
     ("triples", 25, True): "f319d47587a72ae12f34329e98cd6ed810cfc4aca60a46bfb159ace220738b90",
     ("triples", 27, False): "c4a6459a79fdf74129d023f2bb6a58910f1d73de86a5691086bdc74f70006f97",
     ("triples", 27, True): "2e2f4c6383b2118f871a7f8519a3d050d18780817dccc7020b8a74b53c06bd18",
+    ("pairs", 2, True): "4d49d20021840e344839f34dcf74e57633de39a964cec80c65be68f3419c9baa",
     ("pairs", 12, False): "916775217bbcd705648204c3ffb7eb35b3a392bf4e062e8f3cf0537bc19989f4",
     ("pairs", 12, True): "3d06a3b1a50c5165b90f5a86ded2e31bea9162ea5c5576cad47aefdb7b14ed48",
     ("pairs", 36, False): "265e8d18f6915fcc146b5574a805a98f4c1dfb9c7d19899ca10373c85b3cb7a0",
     ("pairs", 36, True): "01458ee21f128d4cecf9edfe8ef55e0077317af3c7d72d7ec8b6bfb87d14392a",
     ("pairs", 720, False): "bd234091871257300d9fb48866241f462db41a95c2401b7d33b9a19677a2d3cf",
+    ("pairs", 720, True): "21cafce849b20020027b5eded1d516045397cd79851ad51f3e05bb414b3379b3",
     ("pairs", 997, False): "599e6675b46c1dbe10610cb9e340bc254c3582419c69d1c739294520cc1dedc1",
+    ("pairs", 997, True): "ddec12a9e8a962e02e39d85e2d02328cc39d43319ab18e15f147777dbcfa7c08",
     ("pairs", 1024, False): "0f4e2f453b88bad71882246117b307fb186a4a168d107b9b662e288f09830fd9",
     ("pairs", 1024, True): "d9a3b3167b2deadcb5427edd3854cc906551379d1f21864abcb93224a1afd6da",
 }
