@@ -1,13 +1,11 @@
 """Exhaustive classification of Pauli pairs and triples at one dimension.
 
-Pairs and triples go through one engine.  Its only per-mode step numbers
-the universe of normalized sets {identity, v} or {identity, v1, v2} as
-states, in :func:`_pack` and :func:`_unpack`: a pair is the code x*d + z
-of v, a triple the ``triu`` rank of its two codes.  Everything after the
-numbering is shared but the sign-flip scan, which only triples need.
-The move list of :func:`gbsclass.moves.enumerator_moves` is evaluated on
-the whole universe at once: P and R, which generate every determinant-one
-exponent map mod d, PIVOT(1), and on triples at prime powers one
+Triples are classified on a state graph.  :func:`_pack` and
+:func:`_unpack` number the universe of normalized triples
+{identity, v1, v2} as states, by the ``triu`` rank of the codes x*d + z
+of v1 and v2.  The move list of :func:`gbsclass.moves.enumerator_moves`
+is evaluated on the whole universe at once: P and R, which generate every
+determinant-one exponent map mod d, PIVOT(1), and at prime powers one
 W(s, t, 1) per sublattice and the split rule.  A move is stored as its
 arrows only, the int32 pairs (state, image) with image != state, and a
 guarded move is evaluated on the states inside its guard alone.
@@ -17,16 +15,17 @@ all arrows at once, and each class is keyed by its least state.  The
 components are then labeled with exact invariants.  Because the
 invariants never change under true equivalence and the moves never merge
 inequivalent sets, singleton invariant cells prove the class count
-correct; on triples at p^alpha with alpha >= 2, equal-invariant
-components are separated, where possible, by the sign-flip feasibility
-criterion, and final counts are compared against closed-form
-expectations on the dimensions where those are valid.
+correct; at p^alpha with alpha >= 2, equal-invariant components are
+separated, where possible, by the sign-flip feasibility criterion, and
+final counts are compared against closed-form expectations on the
+dimensions where those are valid.
 
-Pairs without witnesses skip the state graph: their classes come from
-the divisors of d, in :func:`_divisor_classes`.  SL(2, Z_d), generated
-by the moves P and R, maps v to (0, gcd(v, d)), and the order of v is an
-invariant, so there is one class per divisor g of d, holding the
-J_2(d/g) vectors of gcd g, and its least state is the code g mod d.
+Pairs build no states.  Their classes come from the divisors of d, in
+:func:`_divisor_classes`: SL(2, Z_d), generated by the moves P and R,
+maps v to (0, gcd(v, d)), and the order of v is an invariant, so there
+is one class per divisor g of d, holding the J_2(d/g) vectors of gcd g,
+and its least code is g mod d.  Each class's witness is one fixed word
+of P and R, from :func:`_pair_witness`.
 """
 
 from __future__ import annotations
@@ -47,10 +46,10 @@ from .pauli import GpmSet, InvariantVector, check_probe, invariant_table, invari
 from .residues import BRACKET, DOUBLE, bracket_partition, factorize, prime_power
 
 MAX_STATES = 12 * 10**6
-"""Most states an enumeration builds: C(d*d - 1, 2) for triples, d*d for
-pairs.  Triples cost about 130 bytes a state in peak RSS (125 to 131
-measured at d = 24, 32 and 64), so the cap is about 1.6 GB: it admits
-d = 64 (8.4e6 states) and refuses d = 81 (2.2e7)."""
+"""Most states an enumeration may have: C(d*d - 1, 2) for triples, d*d
+for pairs, which build none.  Triples cost about 130 bytes a state in
+peak RSS (125 to 131 measured at d = 24, 32 and 64), so the cap is about
+1.6 GB: it admits d = 64 (8.4e6 states) and refuses d = 81 (2.2e7)."""
 
 SEP_INVARIANT = "INVARIANT"
 SEP_THEOREM1 = "THEOREM1"
@@ -184,30 +183,20 @@ def formula_for(d: int, mode: str) -> CountFormula | None:
 # ---------------------------------------------------------------------------
 
 
-def _universe_size(d: int, size: int) -> int:
-    """How many normalized sets of ``size`` members there are at d."""
-    return d * d if size == 2 else math.comb(d * d - 1, 2)
+def _pack(d: int, c1, c2):
+    """The state of a triple, from the codes x*d + z of its two other members.
 
-
-def _pack(d: int, *codes):
-    """The state of a set, from the codes x*d + z of its non-identity members.
-
-    A pair's state is its one code.  A triple's is the ``triu`` rank of
-    its two codes: with i = min - 1, j = max - 1 and N = d*d - 1, row i
-    starts at i(2N - i - 1)/2 and (i, j) is j - i - 1 further on.  Codes
-    are ints or int arrays.
+    It is the ``triu`` rank of the two codes: with i = min - 1,
+    j = max - 1 and N = d*d - 1, row i starts at i(2N - i - 1)/2 and
+    (i, j) is j - i - 1 further on.  Codes are ints or int arrays.
     """
-    if len(codes) == 1:
-        return codes[0]
     n = d * d - 1
-    i, j = np.minimum(*codes) - 1, np.maximum(*codes) - 1
+    i, j = np.minimum(c1, c2) - 1, np.maximum(c1, c2) - 1
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
-def _unpack(d: int, size: int, states: np.ndarray) -> list[np.ndarray]:
+def _unpack(d: int, states: np.ndarray) -> list[np.ndarray]:
     """The inverse of :func:`_pack`: per state, the codes of its members."""
-    if size == 2:
-        return [states]
     n = d * d - 1
     rows = np.arange(n - 1)
     starts = rows * (2 * n - rows - 1) // 2
@@ -238,7 +227,7 @@ def _restrict(members: list, keep: np.ndarray) -> list:
     return [members[0], *((a[keep], b[keep]) for a, b in members[1:])]
 
 
-def _moves(d: int, size: int) -> list[Arrows]:
+def _moves(d: int) -> list[Arrows]:
     """Every move as arrows; a guarded move is evaluated on its states only.
 
     The members of every state come from :func:`_unpack`, and each image
@@ -246,8 +235,8 @@ def _moves(d: int, size: int) -> list[Arrows]:
     inside the guard its move names as ``within``, whose states and
     members are kept for that reason.
     """
-    states = np.arange(_universe_size(d, size), dtype=np.int32)
-    universe = [(0, 0), *((c // d, c % d) for c in _unpack(d, size, states))]
+    states = np.arange(math.comb(d * d - 1, 2), dtype=np.int32)
+    universe = [(0, 0), *((c // d, c % d) for c in _unpack(d, states))]
     inside: dict[str, tuple[np.ndarray, list]] = {}
 
     def arrows(mv: Move) -> Arrows:
@@ -261,7 +250,7 @@ def _moves(d: int, size: int) -> list[Arrows]:
         _, *images = mv.image(members)
         return _arrows(mv.label, src, _pack(d, *((a % d) * d + (b % d) for a, b in images)))
 
-    return [arrows(mv) for mv in enumerator_moves(d, size, _array_tables(d))]
+    return [arrows(mv) for mv in enumerator_moves(d, _array_tables(d))]
 
 
 def _components(n: int, moves: list[Arrows]) -> np.ndarray:
@@ -305,15 +294,16 @@ def _last_states(inverse: np.ndarray, count: int) -> np.ndarray:
     return last
 
 
-_STATE: dict[tuple[int, int], tuple] = {}
+_STATE: dict[int, tuple] = {}
 
 
-def _state(d: int, size: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
-    """Moves, class roots and class index of the sets of ``size`` members at d."""
-    if (d, size) not in _STATE:
-        moves = _moves(d, size)
-        _STATE[d, size] = (moves, *_classes(_components(_universe_size(d, size), moves)))
-    return _STATE[d, size]
+def _state(d: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
+    """Moves, class roots and class index of the triples at the latest d."""
+    if d not in _STATE:
+        _STATE.clear()
+        moves = _moves(d)
+        _STATE[d] = (moves, *_classes(_components(math.comb(d * d - 1, 2), moves)))
+    return _STATE[d]
 
 
 def _divisor_classes(d: int) -> tuple[np.ndarray, list[int]]:
@@ -338,13 +328,28 @@ def _divisor_classes(d: int) -> tuple[np.ndarray, list[int]]:
     return np.array(roots, dtype=np.int64), list(sizes)
 
 
+def _pair_witness(d: int, g: int) -> list[str]:
+    """The witness of divisor g's pair class: the word the graph's BFS takes.
+
+    The start, the largest code of the class, is -(g, g); R, P, R carry
+    it to (g, -g), then (g, 0), then the root (0, g).  In units of g with
+    n = d/g >= 3, the root is one move (P, R or PIVOT(1)) from (1, 0) and
+    (0, -1), and two from (1, -1) and (-1, 0).  Neither the start nor
+    P(start) = (-1, -2) is among them, so the first-move-wins BFS takes
+    R, P, R.  At n = 2 it takes P, R.
+    """
+    if g == d:
+        return []
+    return ["P", "R"] if 2 * g == d else ["R", "P", "R"]
+
+
 def _check_dim(d: int, mode: str, enum_cap: int) -> None:
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     cap = enum_cap * enum_cap if mode == "pairs" else enum_cap
     if d > cap:
         raise DimensionTooLarge(f"{mode} enumeration capped at d <= {cap}, got {d}")
-    states = _universe_size(d, 2 if mode == "pairs" else 3)
+    states = d * d if mode == "pairs" else math.comb(d * d - 1, 2)
     if states > MAX_STATES:
         raise DimensionTooLarge(
             f"{mode} enumeration capped at {MAX_STATES} states, got {states} at d={d}")
@@ -642,27 +647,24 @@ def _classify(
 ) -> Classification:
     """Classify every normalized pair or triple at dimension d.
 
-    Pairs without witnesses take their classes from the divisors of d,
-    as the state graph would give them: P and R generate SL(2, Z_d),
-    which carries v to (0, gcd(v, d)), and J_2(d/g) vectors have gcd g.
-    Witnesses and triples build the graph of :func:`_state`, after the
-    caps and the probes are checked.
+    Pairs take their classes and witnesses from the divisors of d, with
+    no state graph: P and R generate SL(2, Z_d), which carries v to
+    (0, gcd(v, d)), and J_2(d/g) vectors have gcd g.  Triples build the
+    graph of :func:`_state`, after the caps and the probes are checked.
     """
     _check_dim(d, mode, enum_cap)
     for a in (*(i3_probes or ()), *(power_probes or ())):
         check_probe(a, d)
-    size = 2 if mode == "pairs" else 3
-    if size == 2 and not emit_witnesses:
+    if mode == "pairs":
         class_roots, sizes = _divisor_classes(d)
+        codes = [(c,) for c in class_roots.tolist()]
     else:
-        moves, class_roots, inverse = _state(d, size)
+        moves, class_roots, inverse = _state(d)
         sizes = np.bincount(inverse)
+        codes = list(zip(*(c.tolist() for c in _unpack(d, class_roots))))
     C = len(class_roots)
 
-    reps = [
-        GpmSet(d, ((0, 0), *(divmod(c, d) for c in codes)))
-        for codes in zip(*(c.tolist() for c in _unpack(d, size, class_roots)))
-    ]
+    reps = [GpmSet(d, ((0, 0), *(divmod(c, d) for c in cs))) for cs in codes]
     ivs = [invariant_vector(S, i3_probes, power_probes) for S in reps]
 
     cells = _invariant_cells(reps, ivs)
@@ -700,7 +702,9 @@ def _classify(
                 sep[ci] = SEP_UNSEPARATED
 
     witnesses: list[list[str] | None] = [None] * C
-    if emit_witnesses:
+    if emit_witnesses and mode == "pairs":
+        witnesses = [_pair_witness(d, r or d) for r in class_roots.tolist()]
+    elif emit_witnesses:
         tables = _witness_tables(inverse.shape[0], moves, class_roots)
         starts = _last_states(inverse, C).tolist()
         for ci, r in enumerate(class_roots.tolist()):
@@ -770,7 +774,7 @@ def locate_class(d: int, S: GpmSet, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     m1, m2 = (x * d + z for x, z in members[1:])
     if not 0 < m1 < m2:
         raise ValueError(f"set {S.to_text()!r} is not a valid normalized triple")
-    return int(_state(d, 3)[2][_pack(d, m1, m2)])
+    return int(_state(d)[2][_pack(d, m1, m2)])
 
 
 def family_breakdown(d: int, enum_cap: int = DEFAULT_ENUM_CAP) -> dict[str, list[int]]:

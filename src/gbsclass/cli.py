@@ -23,7 +23,7 @@ from .classify import (
     enumerate_triples,
 )
 from .config import FORMATS, Config, load_config
-from .oracle import CapExceeded, verification_suite
+from .oracle import CapExceeded, capped_prime_power, verification_suite
 from .pauli import GpmSet, PowerOutOfRange, TableTooLarge, invariant_vector
 from .residues import OutOfRange, factorize
 
@@ -216,12 +216,11 @@ def verify(dim: int | None, pp: tuple[int, int] | None) -> None:
             raise click.UsageError(f"{p} is not prime")
         if alpha < 1:
             raise click.UsageError(f"alpha must be positive, got {alpha}")
-        d = p**alpha
     else:
         assert dim is not None
         _check_dim(dim)
-        d = dim
     try:
+        d = dim if pp is None else capped_prime_power(p, alpha)
         results = verification_suite(d)
     except CapExceeded as exc:
         click.echo(f"error: {exc}", err=True)

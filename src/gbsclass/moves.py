@@ -199,11 +199,11 @@ def _split(d: int, tab: Tables) -> Move:
     return Move("RULE(x3-split)", d, image, guard)
 
 
-def enumerator_moves(d: int, size: int, tab: Tables | None = None) -> list[Move]:
-    """The moves the enumerator evaluates on normalized sets of ``size`` members.
+def enumerator_moves(d: int, tab: Tables | None = None) -> list[Move]:
+    """The moves the enumerator evaluates on normalized triples.
 
-    P, R and PIVOT(1); on triples, when ``tab`` (the tables at d) is
-    given, also one W(s, t, 1) per sublattice and the split rule.  Adding
+    P, R and PIVOT(1); when ``tab`` (the tables at d) is given, also one
+    W(s, t, 1) per sublattice and the split rule.  Adding
     PIVOT(2) or W(s, t, k) with k > 1 leaves the partition unchanged at
     every d <= 32 and at d = 49 and 64.  The order fixes which move each
     witness step takes.  The lattice of (s, t) lies inside those of
@@ -212,7 +212,7 @@ def enumerator_moves(d: int, size: int, tab: Tables | None = None) -> list[Move]
     """
     moves = [_linear(label, d, _LINEAR[label]) for label in ("P", "R")]
     moves.append(_pivot(d, 1))
-    if size == 3 and tab is not None:
+    if tab is not None:
         for s in range(1, tab.alpha):
             for t in range(tab.alpha - s):
                 within = f"W({s},{t - 1},1)" if t else f"W({s - 1},0,1)" if s > 1 else None

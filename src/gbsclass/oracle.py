@@ -13,6 +13,9 @@ worse and is meant for verification, not production runs.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from .pauli import Gpm, GpmSet, InvariantVector, PoweredInvariants, default_probes
@@ -35,6 +38,16 @@ def _check_cap(d: int) -> None:
         raise CapExceeded(f"dense matrices capped at {MATRIX_CAP}, got {got}")
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
+
+
+def capped_prime_power(p: int, alpha: int) -> int:
+    """p**alpha, refused past the cap before a power above 2^64 is formed."""
+    if alpha > 64:
+        # k <= log2 d: the float log2 p is within 2^-52 of it, inside the 2^-48 shrink
+        k = alpha if p == 2 else alpha * Fraction(math.log2(p)) * (1 - Fraction(1, 2**48))
+        raise CapExceeded(f"dense matrices capped at {MATRIX_CAP}, got d >= 2^{math.floor(k)}")
+    _check_cap(p**alpha)
+    return p**alpha
 
 
 def build_gpm_matrix(g: Gpm) -> np.ndarray:
@@ -101,8 +114,7 @@ def build_w(p: int, alpha: int, s: int, t: int, k: int) -> np.ndarray:
     X^(p**t) to X^(k p**(alpha-s) + p**t); defined for s + t < alpha and
     1 <= k < p**s.
     """
-    d = p**alpha
-    _check_cap(d)
+    d = capped_prime_power(p, alpha)
     if alpha < 2 or s < 1 or t < 0 or s + t >= alpha or not 1 <= k < p**s:
         raise ValueError(f"bad sublattice context s={s} t={t} k={k} alpha={alpha}")
     n = np.arange(d)

@@ -22,10 +22,12 @@ from gbsclass.classify import (
     _components,
     _divisor_classes,
     _expectation,
+    _last_states,
     _pack,
     _state,
-    _universe_size,
     _unpack,
+    _walk_witness,
+    _witness_tables,
     enumerate_pairs,
     enumerate_triples,
     expected_count,
@@ -34,8 +36,10 @@ from gbsclass.classify import (
     locate_class,
     sign_flip_feasibility,
 )
+from gbsclass import classify
 from gbsclass.moves import PreconditionViolated, apply_trace, parse_move
 from gbsclass.pauli import GpmSet
+from pair_graph import pair_graph
 
 
 def s(text: str, d: int) -> GpmSet:
@@ -172,19 +176,41 @@ def test_pair_orbit_sizes_cover_universe() -> None:
         assert sum(c.orbit_size for c in rep.classes) == d * d
 
 
-def test_divisor_classes_match_the_state_graph() -> None:
+PAIR_GRAPH_DIMS = (*range(2, 129), 210, 360, 720, 997, 1000, 1024)
+
+
+def _no_graph(d: int) -> None:
+    raise AssertionError(f"a move graph was built at d={d}")
+
+
+def test_divisor_classes_match_the_state_graph(monkeypatch) -> None:
     """Divisor roots and J_2 sizes are the graph's classes; no graph is built."""
-    for d in (*range(2, 129), 210, 360, 720, 997, 1000, 1024):
+    monkeypatch.setattr(classify, "_moves", _no_graph)
+    for d in PAIR_GRAPH_DIMS:
         before = set(_STATE)
-        enumerate_pairs(d)
-        assert set(_STATE) == before, d
+        for witnesses in (False, True):
+            enumerate_pairs(d, witnesses)
+            assert set(_STATE) == before, (d, witnesses)
         roots, sizes = _divisor_classes(d)
         assert sum(sizes) == d * d, d
-        _, class_roots, inverse = _state(d, 2)
+        _, class_roots, inverse = pair_graph(d)
         assert roots.tolist() == class_roots.tolist(), d
         assert sizes == np.bincount(inverse).tolist(), d
-        if (d, 2) not in before:
-            del _STATE[d, 2]
+
+
+def test_pair_witnesses_match_the_state_graph() -> None:
+    """Each pair witness is the word the graph's witness BFS walks.
+
+    The walk starts at the largest state of each class in the graph.
+    """
+    for d in PAIR_GRAPH_DIMS:
+        moves, class_roots, inverse = pair_graph(d)
+        tables = _witness_tables(d * d, moves, class_roots)
+        starts = _last_states(inverse, class_roots.size).tolist()
+        want = [_walk_witness(start, root, moves, tables)
+                for start, root in zip(starts, class_roots.tolist())]
+        got = [c.witness for c in enumerate_pairs(d, emit_witnesses=True).classes]
+        assert got == want, d
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +237,7 @@ def test_triple_counts_frozen() -> None:
 
 def test_triple_class_counts_every_dimension() -> None:
     """Every count at d = 2..32, read from the components without labelling."""
-    counts = {d: len(_state(d, 3)[1]) for d in range(2, 33)}
+    counts = {d: len(_state(d)[1]) for d in range(2, 33)}
     assert counts == TRIPLE_COUNTS
 
 
@@ -219,16 +245,14 @@ def test_triple_class_counts_every_dimension() -> None:
 def test_state_numbering(d: int) -> None:
     """Triples are numbered in ``triu`` order of their two codes.
 
-    Packing inverts unpacking for pairs and triples, in either member order.
+    Packing inverts unpacking, in either member order.
     """
     rows, cols = np.triu_indices(d * d - 1, k=1)
-    M1, M2 = _unpack(d, 3, np.arange(rows.size))
+    states = np.arange(rows.size)
+    M1, M2 = _unpack(d, states)
     assert (M1 == rows + 1).all() and (M2 == cols + 1).all()
-    for size in (2, 3):
-        states = np.arange(_universe_size(d, size))
-        codes = _unpack(d, size, states)
-        assert (_pack(d, *codes) == states).all()
-        assert (_pack(d, *codes[::-1]) == states).all()
+    assert (_pack(d, M1, M2) == states).all()
+    assert (_pack(d, M2, M1) == states).all()
 
 
 def _ablation(d: int, dropped: str, count: int):
@@ -255,7 +279,7 @@ def test_minimal_move_set(d: int, dropped: str, count: int) -> None:
     the rule, whose soundness is shown only through invariant
     preservation.
     """
-    moves, class_roots, inverse = _state(d, 3)
+    moves, class_roots, inverse = _state(d)
     kept = [mv for mv in moves if mv[0] != dropped]
     assert len(kept) == len(moves) - 1
     roots = _components(inverse.shape[0], kept)
@@ -288,8 +312,8 @@ def test_move_arrows_replay_label_by_label() -> None:
     rng = np.random.default_rng(20261018)
     for d in (8, 9, 16, 25, 27, 32):
         sample = None if d < 16 else rng
-        moves, _, inverse = _state(d, 3)
-        M1, M2 = _unpack(d, 3, np.arange(inverse.shape[0]))
+        moves, _, inverse = _state(d)
+        M1, M2 = _unpack(d, np.arange(inverse.shape[0]))
 
         def triple(i: int) -> GpmSet:
             return GpmSet(d, ((0, 0), divmod(int(M1[i]), d), divmod(int(M2[i]), d)))
@@ -299,7 +323,7 @@ def test_move_arrows_replay_label_by_label() -> None:
         def pair(i: int) -> GpmSet:
             return GpmSet(d, ((0, 0), divmod(i, d)))
 
-        _assert_arrows_replay(d, d * d, pair, _state(d, 2)[0], sample)
+        _assert_arrows_replay(d, d * d, pair, pair_graph(d)[0], sample)
 
 
 def test_triple_orbits_cover_universe() -> None:

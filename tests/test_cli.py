@@ -212,6 +212,19 @@ def test_verify_cap() -> None:
     assert "capped at 64, got d >= 2^158494" in res.output
 
 
+def test_verify_prime_power_cap_forms_no_power() -> None:
+    """A prime power past the cap is refused before the power is formed."""
+    tracemalloc.start()
+    try:
+        res = run("verify", "--prime-power", "3", "10000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 3, res.output
+    assert "capped at 64, got d >= 2^15849625" in res.output
+    assert peak < 2**20, peak
+
+
 def test_module_entry_point_keeps_exit_codes() -> None:
     """``python -m gbsclass.cli`` runs the CLI, so a usage error exits 2."""
     src = str(Path(gbsclass.__file__).resolve().parents[1])
@@ -290,7 +303,7 @@ def test_config_probe_out_of_range_is_usage_error(tmp_path) -> None:
 
 def test_config_probe_is_refused_before_enumerating(tmp_path, monkeypatch) -> None:
     """A bad config probe exits 2 before any state of the enumeration is built."""
-    monkeypatch.delitem(_STATE, (32, 3), raising=False)
+    monkeypatch.delitem(_STATE, 32, raising=False)
     cfg = tmp_path / "gbs.cfg"
     cfg.write_text("i3_a = 50\n")
     tracemalloc.start()
@@ -301,7 +314,7 @@ def test_config_probe_is_refused_before_enumerating(tmp_path, monkeypatch) -> No
         tracemalloc.stop()
     assert res.exit_code == 2, res.output
     assert "probe must satisfy 0 < a < 32, got 50" in res.output
-    assert (32, 3) not in _STATE
+    assert 32 not in _STATE
     assert peak < 2**20, peak
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gbsclass.classify import _components, _state, _witness_tables
+from pair_graph import pair_graph
 
 
 def _reference_roots(n: int, edges: list[tuple[int, int]]) -> list[int]:
@@ -153,11 +154,11 @@ def test_witness_tables_edge_cases() -> None:
 
 @pytest.mark.parametrize("d", [8, 9, 16, 25])
 def test_witness_tables_triples(d: int) -> None:
-    moves, roots, inverse = _state(d, 3)
+    moves, roots, inverse = _state(d)
     _check_witness_tables(inverse.shape[0], moves, roots)
 
 
 @pytest.mark.parametrize("d", [9, 64])
 def test_witness_tables_pairs(d: int) -> None:
-    moves, roots, _ = _state(d, 2)
+    moves, roots, _ = pair_graph(d)
     _check_witness_tables(d * d, moves, roots)

@@ -159,7 +159,7 @@ def test_rule_catalog_availability() -> None:
         pa = prime_power(d)
         if pa is None or pa[1] == 1:
             continue
-        moves = _state(d, 3)[0]
+        moves = _state(d)[0]
         emitted = [label for label, _, _ in moves if label.startswith("RULE(")]
         assert [m.label for m in rule_catalog(d)] == emitted == ["RULE(x3-split)"], d
     assert rule_catalog(7) == []
