@@ -298,7 +298,7 @@ _STATE: dict[int, tuple] = {}
 
 
 def _state(d: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
-    """Moves, class roots and class index of the triples at the latest d."""
+    """Moves, class roots and class index of the triples at d; only the latest d is kept."""
     if d not in _STATE:
         _STATE.clear()
         moves = _moves(d)

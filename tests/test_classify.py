@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from gbsclass import classify
 from gbsclass.classify import (
     Classification,
     DimensionTooLarge,
@@ -36,9 +37,9 @@ from gbsclass.classify import (
     locate_class,
     sign_flip_feasibility,
 )
-from gbsclass import classify
 from gbsclass.moves import PreconditionViolated, apply_trace, parse_move
 from gbsclass.pauli import GpmSet
+
 from pair_graph import pair_graph
 
 

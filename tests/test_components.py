@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gbsclass.classify import _components, _state, _witness_tables
+
 from pair_graph import pair_graph
 
 

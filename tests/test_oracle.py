@@ -6,6 +6,8 @@ the stand-alone checks the `verify` command is built from.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from gbsclass.oracle import (
     build_clifford,
     build_gpm_matrix,
     build_w,
+    capped_prime_power,
     check_clifford_actions,
     check_invariant_agreement,
     check_overlaps,
@@ -198,6 +201,16 @@ def test_matrix_cap_enforced() -> None:
         build_clifford("R", 100)
     with pytest.raises(CapExceeded):
         q_word_matrix(65, 2)
+
+
+def test_capped_prime_power_names_the_exact_bound() -> None:
+    """Past alpha = 64 the refusal still names floor(log2 d), unformed."""
+    assert capped_prime_power(2, 6) == 64
+    for p, alpha in ((2, 7), (3, 40), (2, 65), (3, 65), (7, 1000), (997, 333), (3, 99999)):
+        bits = (p**alpha).bit_length() - 1
+        got = f"d={p**alpha}" if p**alpha < 10**18 else f"d >= 2^{bits}"
+        with pytest.raises(CapExceeded, match=re.escape(f"capped at 64, got {got}") + "$"):
+            capped_prime_power(p, alpha)
 
 
 def test_verification_suite_passes() -> None:
