@@ -214,7 +214,10 @@ def _array_tables(d: int) -> Tables | None:
 
 
 Arrows = tuple[str, np.ndarray, np.ndarray]
-"""One move as (label, src, dst): its non-fixed arrows, int32, src != dst."""
+"""One move as (label, src, dst): its non-fixed arrows, int32, src != dst.
+
+A move is a function on the states, so it has one arrow per source, and
+the sources are ascending; :func:`_walk` relies on both."""
 
 
 def _arrows(label: str, src: np.ndarray, dst: np.ndarray) -> Arrows:
@@ -360,40 +363,25 @@ def _check_dim(d: int, mode: str, enum_cap: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _witness_tables(
-    n: int, moves: list[Arrows], rep_states: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per state: BFS distance to its class representative, plus one step.
+def _distances(n: int, moves: list[Arrows], rep_states: np.ndarray) -> np.ndarray:
+    """Per state: BFS distance along the arrows to its class representative.
 
-    A state at distance k + 1 takes, among its arrows into distance k,
-    the one of the least move index, so every witness is fixed by the
-    move order.  ``lab`` holds that index, ``nxt`` the arrow's image, and
-    all three tables hold -1 where no representative is reachable.
-
-    The BFS indexes the arrows once: each becomes one int64 key holding
-    its image, move index and source in bit fields, and the sorted keys
-    with CSR offsets per image list every state's in-arrows in move
-    order.  A level gathers the in-arrows of the frontier, drops those
-    whose source is already visited, and keeps per source the least move
-    index through ``np.minimum.at``.  That is the first-move-wins rule,
-    since a source is a candidate in one level only and a move has one
-    arrow per source.  The sources reached become the next frontier, so
-    each arrow is read in one level only.
+    The distance is -1 where no representative is reachable.  The BFS
+    indexes the arrows once: each becomes one int64 key holding its image
+    and source in bit fields, and the sorted keys with CSR offsets per
+    image list every state's in-arrows.  A level gathers the in-arrows of
+    the frontier and gives the next level to the sources not yet
+    visited, so each arrow is read in one level only.
     """
-    lab_type = np.min_scalar_type(-len(moves) - 1)  # holds -1 and len(moves)
     dist = np.full(n, -1, dtype=np.int32)
-    nxt = np.full(n, -1, dtype=np.int32)
-    lab = np.full(n, -1, dtype=lab_type)
-    # the three fields take at most 63 bits while n <= MAX_STATES
+    # the two fields take at most 48 bits while n <= MAX_STATES
     src_bits = max(n - 1, 1).bit_length()
-    move_bits = len(moves).bit_length()
     key = np.empty(sum(src.shape[0] for _, src, _ in moves), dtype=np.int64)
     indegree = np.zeros(n, dtype=np.int64)
     end = 0
-    for li, (_, src, dst) in enumerate(moves):
+    for _, src, dst in moves:
         k = key[end:end + src.shape[0]]
-        np.left_shift(dst, src_bits + move_bits, out=k, dtype=np.int64)
-        k |= li << src_bits
+        np.left_shift(dst, src_bits, out=k, dtype=np.int64)
         k |= src
         indegree += np.bincount(dst, minlength=n)
         end += src.shape[0]
@@ -401,7 +389,6 @@ def _witness_tables(
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(indegree, out=start[1:])
     del indegree
-    best = np.full(n, len(moves), dtype=lab_type)
     dist[rep_states] = 0
     frontier = np.flatnonzero(dist == 0)
     level = 0
@@ -411,34 +398,39 @@ def _witness_tables(
         ends = np.cumsum(count)
         arrows = key[np.repeat(first - ends + count, count) + np.arange(ends[-1])]
         states = (arrows & ((1 << src_bits) - 1)).astype(np.int32)
-        fresh = dist[states] == -1
-        arrows, states = arrows[fresh], states[fresh]
-        li = ((arrows >> src_bits) & ((1 << move_bits) - 1)).astype(lab_type)
-        np.minimum.at(best, states, li)
-        won = li == best[states]
-        frontier = states[won]
         level += 1
-        dist[frontier] = level
-        nxt[frontier] = arrows[won] >> (src_bits + move_bits)
-        lab[frontier] = li[won]
-    return dist, nxt, lab
+        dist[states[dist[states] == -1]] = level
+        frontier = np.flatnonzero(dist == level)
+    return dist
 
 
-def _walk_witness(
-    start: int,
-    rep: int,
-    moves: list[Arrows],
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> list[str] | None:
-    dist, nxt, lab = tables
-    if dist[start] < 0:
-        return None
-    labels: list[str] = []
-    cur = start
-    while cur != rep:
-        labels.append(moves[int(lab[cur])][0])
-        cur = int(nxt[cur])
-    return labels
+def _walk(moves: list[Arrows], dist: np.ndarray, starts: np.ndarray) -> list[list[str] | None]:
+    """The witness from each start to its representative, None if unreachable.
+
+    All starts walk at once.  Each step takes the least-index move whose
+    arrow from the current state lands one level nearer, so every
+    witness is fixed by the move order.  A move's sources are ascending,
+    so ``np.searchsorted`` finds its arrow from a state, if any.
+    """
+    words: list[list[str] | None] = [[] if dist[s] >= 0 else None for s in starts.tolist()]
+    cur = starts.astype(np.int64)
+    live = np.flatnonzero(dist[cur] > 0)
+    while live.size:
+        here = cur[live]
+        nearer = dist[here] - 1
+        step = np.empty(live.size, dtype=np.int64)
+        for li in reversed(range(len(moves))):  # the least index is written last
+            _, src, dst = moves[li]
+            if not src.size:
+                continue
+            pos = np.minimum(np.searchsorted(src, here), src.size - 1)
+            hit = (src[pos] == here) & (dist[dst[pos]] == nearer)
+            step[hit] = li
+            cur[live[hit]] = dst[pos[hit]]
+        for i, li in zip(live.tolist(), step.tolist()):
+            words[i].append(moves[li][0])
+        live = live[dist[cur[live]] > 0]
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +697,10 @@ def _classify(
     if emit_witnesses and mode == "pairs":
         witnesses = [_pair_witness(d, r or d) for r in class_roots.tolist()]
     elif emit_witnesses:
-        tables = _witness_tables(inverse.shape[0], moves, class_roots)
-        starts = _last_states(inverse, C).tolist()
-        for ci, r in enumerate(class_roots.tolist()):
-            witnesses[ci] = _walk_witness(starts[ci], r, moves, tables)
-            if witnesses[ci] is None:
+        dist = _distances(inverse.shape[0], moves, class_roots)
+        witnesses = _walk(moves, dist, _last_states(inverse, C))
+        for ci, w in enumerate(witnesses):
+            if w is None:
                 notes.add(f"no witness path found for class {ci + 1}")
 
     expected, note = _expectation(d, mode)

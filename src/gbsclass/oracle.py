@@ -18,8 +18,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pauli import Gpm, GpmSet, InvariantVector, PoweredInvariants, default_probes
-from .residues import inv_mod, prime_power
+from .pauli import (
+    Gpm,
+    GpmSet,
+    InvariantVector,
+    PoweredInvariants,
+    default_probes,
+    gpm_dagger,
+    gpm_product,
+    gpm_trace,
+    invariant_vector,
+)
+from .residues import count_quadratic_check, inv_mod, prime_power
 
 MATRIX_CAP = 64
 
@@ -197,21 +207,9 @@ def _power_traces(D: np.ndarray, d: int) -> dict[int, float]:
     return out
 
 
-def _matrix_powers(D: np.ndarray, a: int, d: int) -> np.ndarray:
-    """D_n^(a mod d) per slice, with exponent 0 meaning the identity."""
-    e = a % d
-    if e == 0:
-        return np.broadcast_to(np.eye(d, dtype=complex), D.shape).copy()
-    P = D.copy()
-    for _ in range(e - 1):
-        P = np.einsum("nij,njk->nik", P, D)
-    return P
-
-
 def _cross_traces(D: np.ndarray, a: int, d: int) -> np.ndarray:
-    """Per n: sum_m |Tr(D_n^a D_m)|."""
-    Da = _matrix_powers(D, a, d)
-    T = np.einsum("nij,mji->nm", Da, D)
+    """Per n: sum_m |Tr(D_n^a D_m)|, with D_n^0 the identity."""
+    T = np.einsum("nij,mji->nm", np.linalg.matrix_power(D, a % d), D)
     return np.abs(T).sum(axis=1)
 
 
@@ -282,8 +280,6 @@ def compare_invariants(exact: dict, numeric: dict) -> float:
 def check_pauli_algebra(d: int, rng: np.random.Generator | None = None,
                         tol: float = TOL_PHASE) -> bool:
     """Products, adjoints and traces of X^s Z^t against dense matrices."""
-    from .pauli import gpm_dagger, gpm_product, gpm_trace
-
     if d <= 9:
         pairs = [
             (Gpm(d, s1, t1), Gpm(d, s2, t2))
@@ -419,8 +415,6 @@ def check_overlaps(d: int, samples: int = 200, tol: float = TOL_EXACT) -> bool:
 def check_invariant_agreement(d: int, samples: int = 25,
                               tol: float = TOL_PHASE) -> bool:
     """Exact invariant vectors agree with dense-trace evaluation."""
-    from .pauli import invariant_vector
-
     rng = np.random.default_rng(23)
     sets = []
     for _ in range(samples):
@@ -437,8 +431,6 @@ def check_invariant_agreement(d: int, samples: int = 25,
 
 def verification_suite(d: int) -> list[tuple[str, bool]]:
     """Named pass/fail results for every dense-matrix check available at d."""
-    from .residues import count_quadratic_check
-
     _check_cap(d)
     results = [
         ("pauli algebra", check_pauli_algebra(d)),

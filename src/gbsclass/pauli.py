@@ -289,10 +289,6 @@ def default_probes(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     p, alpha = factorize(d)[0]
     i3 = tuple(sorted({a for a in (2, p, d // p) if 0 < a < d}))
     powers = tuple(sorted({t for t in (p, p ** (alpha - 1)) if 0 < t < d}))
-    if not i3:
-        i3 = (1,)
-    if not powers:
-        powers = (1,)
     return i3, powers
 
 

@@ -21,14 +21,14 @@ from gbsclass.classify import (
     CountFormula,
     _STATE,
     _components,
+    _distances,
     _divisor_classes,
     _expectation,
     _last_states,
     _pack,
     _state,
     _unpack,
-    _walk_witness,
-    _witness_tables,
+    _walk,
     enumerate_pairs,
     enumerate_triples,
     expected_count,
@@ -200,16 +200,14 @@ def test_divisor_classes_match_the_state_graph(monkeypatch) -> None:
 
 
 def test_pair_witnesses_match_the_state_graph() -> None:
-    """Each pair witness is the word the graph's witness BFS walks.
+    """Each pair witness is the word walked on the graph's BFS distances.
 
     The walk starts at the largest state of each class in the graph.
     """
     for d in PAIR_GRAPH_DIMS:
         moves, class_roots, inverse = pair_graph(d)
-        tables = _witness_tables(d * d, moves, class_roots)
-        starts = _last_states(inverse, class_roots.size).tolist()
-        want = [_walk_witness(start, root, moves, tables)
-                for start, root in zip(starts, class_roots.tolist())]
+        dist = _distances(d * d, moves, class_roots)
+        want = _walk(moves, dist, _last_states(inverse, class_roots.size))
         got = [c.witness for c in enumerate_pairs(d, emit_witnesses=True).classes]
         assert got == want, d
 

@@ -1,8 +1,14 @@
-"""Connected components and witness tables of move arrows, against references.
+"""Connected components and witnesses of move arrows, against references.
 
-Components are checked against a scalar union-find, and the frontier
-witness BFS against the level scan it replaced, which rescans every arrow
-of every move at every level.
+Components are checked against a scalar union-find.  The witness layer,
+the frontier BFS of :func:`_distances` and the least-move walk of
+:func:`_walk`, is checked against a level scan that rescans every arrow
+of every move at every level and records per state the first arrow into
+the previous level (``nxt``) and its move index (``lab``): the distances
+must be equal, and the word walked from every state must be the one the
+scan's ``nxt`` and ``lab`` spell.  The walk's binary search needs each
+move's sources in ascending order, which is checked on the enumerator's
+moves and on the test-side pair graph.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from gbsclass.classify import _components, _state, _witness_tables
+from gbsclass.classify import _components, _distances, _state, _walk
 
 from pair_graph import pair_graph
 
@@ -89,7 +95,7 @@ def test_no_arrows() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Witness tables.
+# Witnesses.
 # ---------------------------------------------------------------------------
 
 
@@ -116,17 +122,31 @@ def _reference_witness_tables(n: int, moves: list, rep_slots) -> tuple:
         level += 1
 
 
+def _reference_walk(moves: list, tables: tuple, starts) -> list:
+    """The word from each start along the reference's ``nxt`` and ``lab``."""
+    dist, nxt, lab = (t.tolist() for t in tables)
+    words = [[] if dist[s] >= 0 else None for s in starts]
+    for s, word in zip(starts, words):
+        while word is not None and dist[s] > 0:
+            word.append(moves[lab[s]][0])
+            s = nxt[s]
+    return words
+
+
 def _check_witness_tables(n: int, moves: list, rep_slots) -> None:
-    got = _witness_tables(n, moves, np.asarray(rep_slots, dtype=np.int64))
+    """Distances equal the reference's, and so does the word from every state."""
+    dist = _distances(n, moves, np.asarray(rep_slots, dtype=np.int64))
     want = _reference_witness_tables(n, moves, np.asarray(rep_slots, dtype=np.int64))
-    for name, g, w in zip(("dist", "nxt", "lab"), got, want):
-        assert g.shape == (n,), name
-        assert np.array_equal(g, w), name
+    assert dist.shape == (n,)
+    assert np.array_equal(dist, want[0])
+    states = np.arange(n)
+    assert _walk(moves, dist, states) == _reference_walk(moves, want, states.tolist())
 
 
 def _partial_move(rng: random.Random, label: str, n: int, targets: list[int]) -> tuple:
-    """A partial function on the states: one arrow per source, none fixed."""
-    sources = rng.sample(range(n), rng.randint(0, n))
+    """A partial function on the states: one arrow per source, none fixed,
+    sources ascending as in the enumerator's moves."""
+    sources = sorted(rng.sample(range(n), rng.randint(0, n)))
     return _move(label, [(u, v) for u in sources if (v := rng.choice(targets)) != u])
 
 
@@ -147,10 +167,9 @@ def test_witness_tables_edge_cases() -> None:
     # unreachable states 4 and 5; 3 reaches the root through A and B, so A wins
     moves = [_move("A", [(1, 0), (3, 1)]), _move("B", [(2, 0), (3, 2), (4, 5)])]
     _check_witness_tables(6, moves, [0])
-    dist, nxt, lab = _witness_tables(6, moves, np.array([0]))
+    dist = _distances(6, moves, np.array([0]))
     assert dist.tolist() == [0, 1, 1, 2, -1, -1]
-    assert nxt.tolist() == [-1, 0, 0, 1, -1, -1]
-    assert lab.tolist() == [-1, 0, 1, 0, -1, -1]
+    assert _walk(moves, dist, np.arange(6)) == [[], ["A"], ["B"], ["A", "A"], None, None]
 
 
 @pytest.mark.parametrize("d", [8, 9, 16, 25])
@@ -163,3 +182,12 @@ def test_witness_tables_triples(d: int) -> None:
 def test_witness_tables_pairs(d: int) -> None:
     moves, roots, _ = pair_graph(d)
     _check_witness_tables(d * d, moves, roots)
+
+
+@pytest.mark.parametrize("d", [8, 9, 12, 16, 25, 27, 32])
+def test_move_sources_ascending(d: int) -> None:
+    """Each move has one arrow per source, in ascending order, which
+    :func:`_walk` relies on to find an arrow by binary search."""
+    for graph, moves in (("triples", _state(d)[0]), ("pairs", pair_graph(d)[0])):
+        for label, src, _ in moves:
+            assert np.all(np.diff(src) > 0), (graph, d, label)

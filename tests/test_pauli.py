@@ -349,6 +349,10 @@ def test_default_probes_frozen() -> None:
     assert default_probes(25) == ((2, 5), (5,))
     assert default_probes(27) == ((2, 3, 9), (3, 9))
     assert default_probes(32) == ((2, 16), (2, 16))
+    # d // p and p**(alpha - 1) lie in (0, d), so neither tuple is ever empty
+    for d in range(2, 2001):
+        for probes in default_probes(d):
+            assert probes and all(0 < a < d for a in probes), d
 
 
 # ---------------------------------------------------------------------------
