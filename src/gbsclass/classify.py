@@ -5,10 +5,11 @@ Triples are classified on a state graph.  :func:`_pack` and
 {identity, v1, v2} as states, by the ``triu`` rank of the codes x*d + z
 of v1 and v2.  The move list of :func:`gbsclass.moves.enumerator_moves`
 is evaluated on the whole universe at once: P and R, which generate every
-determinant-one exponent map mod d, PIVOT(1), and at prime powers one
-W(s, t, 1) per sublattice and the split rule.  A move is stored as its
-arrows only, the int32 pairs (state, image) with image != state, and a
-guarded move is evaluated on the states inside its guard alone.
+determinant-one exponent map mod d, PIVOT(1), and at prime powers
+W(s, t, 1) for every sublattice with t >= 1 and the split rule.  A move
+is stored as its arrows only, the int32 pairs (state, image) with image
+!= state, and a guarded move is evaluated on the states inside its guard
+alone.
 
 Connected components come from min-label hooking with pointer jumping over
 all arrows at once, and each class is keyed by its least state.  The

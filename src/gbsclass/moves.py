@@ -16,9 +16,12 @@ Pauli set to another inside the same local-unitary class:
   {I, Z^(p^v), X^x} with v + vp(x) >= alpha, which reduces the unit in
   front of the X-part to 1.
 
-The enumerator uses the smallest of these sets that gives the same
-partition: P, R, PIVOT(1), one W(s, t, 1) per sublattice and the split
-rule.  The other moves (V, Q(k), PIVOT(j) and W(s, t, k) for every k)
+The enumerator evaluates the Clifford generators P and R, PIVOT(1), and
+the moves that can join Clifford orbits: W(s, t, 1) for every sublattice
+with t >= 1, and the split rule.  W(s, 0, k) is left out: on its lattice
+z = 0 mod p^s it multiplies x by u = k*p^(alpha-s) + 1 = 1 mod
+p^(alpha-s), so there it equals the Clifford Q(u^-1), a word in P and R.
+The other moves (V, Q(k), PIVOT(j) and W(s, t, k) for every t and k)
 stay available to witness replay and to the tests.
 
 A move is an exponent map plus its guard.  Both are written once, with
@@ -28,7 +31,7 @@ arithmetic that gives the same result on plain ints and on numpy arrays:
 :func:`enumerator_moves` on a whole universe of sets at once; a witness
 is replayed by :func:`parse_move` / :func:`apply_trace`, which evaluate
 the same map and guard on one set's ints.  Labels look like "P", "Q(5)",
-"PIVOT(2)", "W(1,0,2)" and "RULE(x3-split)".
+"PIVOT(2)", "W(1,1,2)" and "RULE(x3-split)".
 """
 
 from __future__ import annotations
@@ -202,20 +205,21 @@ def _split(d: int, tab: Tables) -> Move:
 def enumerator_moves(d: int, tab: Tables | None = None) -> list[Move]:
     """The moves the enumerator evaluates on normalized triples.
 
-    P, R and PIVOT(1); when ``tab`` (the tables at d) is given, also one
-    W(s, t, 1) per sublattice and the split rule.  Adding
-    PIVOT(2) or W(s, t, k) with k > 1 leaves the partition unchanged at
-    every d <= 32 and at d = 49 and 64.  The order fixes which move each
-    witness step takes.  The lattice of (s, t) lies inside those of
-    (s, t - 1) and (s - 1, 0), which come earlier, so each W names one of
-    them as ``within``.
+    P, R and PIVOT(1); when ``tab`` (the tables at d) is given, also
+    W(s, t, 1) for every sublattice with t >= 1 and the split rule, but no
+    W(s, 0, k), which is the Clifford Q(u^-1) on its lattice.  Adding
+    PIVOT(2) or any W(s, t, k) leaves the partition unchanged at every
+    d <= 32 and at d = 49 and 64.  The order fixes which move each witness
+    step takes.  The lattice of (s, t) lies inside those of (s, t - 1)
+    and (s - 1, t), which come earlier, so each W names one of them as
+    ``within``.
     """
     moves = [_linear(label, d, _LINEAR[label]) for label in ("P", "R")]
     moves.append(_pivot(d, 1))
     if tab is not None:
         for s in range(1, tab.alpha):
-            for t in range(tab.alpha - s):
-                within = f"W({s},{t - 1},1)" if t else f"W({s - 1},0,1)" if s > 1 else None
+            for t in range(1, tab.alpha - s):
+                within = f"W({s},{t - 1},1)" if t > 1 else f"W({s - 1},1,1)" if s > 1 else None
                 moves.append(replace(_w(d, tab, s, t, 1), within=within))
         moves.append(_split(d, tab))
     return moves

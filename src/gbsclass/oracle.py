@@ -191,7 +191,7 @@ def _difference_stack(mats: list[np.ndarray]) -> np.ndarray:
 
 
 def _commutator_total(D: np.ndarray, d: int) -> float:
-    AB = np.einsum("aij,bjk->abik", D, D)
+    AB = D[:, None] @ D[None, :]
     C = AB - AB.transpose(1, 0, 2, 3)
     return float(np.sum(np.abs(C) ** 2).real / d)
 
@@ -202,7 +202,7 @@ def _power_traces(D: np.ndarray, d: int) -> dict[int, float]:
     P = D.copy()
     for a in range(1, d):
         if a > 1:
-            P = np.einsum("nij,njk->nik", P, D)
+            P = P @ D
         out[a] = float(np.sum(np.abs(np.einsum("nii->n", P))) / d)
     return out
 

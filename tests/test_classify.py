@@ -259,9 +259,11 @@ def _ablation(d: int, dropped: str, count: int):
 
 
 @pytest.mark.parametrize("d, dropped, count", [
-    # each move of the enumerator is needed somewhere
+    # P, R, PIVOT(1), W(1,1,1) and the split rule are each needed alone
+    # somewhere, and W(2,2,1) at d = 64; the other W(s, t, 1) are needed
+    # jointly (test_w_moves_needed_jointly)
     _ablation(4, "P", 11),
-    _ablation(4, "R", 12),
+    _ablation(4, "R", 13),
     _ablation(4, "PIVOT(1)", 6),
     _ablation(16, "W(1,1,1)", 29),
     _ablation(25, "RULE(x3-split)", 22),
@@ -285,6 +287,21 @@ def test_minimal_move_set(d: int, dropped: str, count: int) -> None:
     assert np.count_nonzero(roots == np.arange(roots.size)) == count
     if count == class_roots.size:
         assert (roots == class_roots[inverse]).all()
+
+
+def test_w_moves_needed_jointly() -> None:
+    """The W(s, t, 1) other than W(1,1,1) and W(2,2,1) are needed jointly.
+
+    At d = 32 each of them alone can be dropped, as
+    ``tools/merge_counts.py 32`` shows, but without all four two classes
+    stay apart.
+    """
+    moves, class_roots, inverse = _state(32)
+    kept = [mv for mv in moves if not mv[0].startswith("W(") or mv[0] in ("W(1,1,1)", "W(2,2,1)")]
+    assert len(kept) == len(moves) - 4
+    roots = _components(inverse.shape[0], kept)
+    assert class_roots.size == 60
+    assert np.count_nonzero(roots == np.arange(roots.size)) == 61
 
 
 def _assert_arrows_replay(d, n, state_set, moves, rng=None) -> None:
@@ -446,17 +463,15 @@ def _assert_triple_witnesses_replay(d: int) -> None:
     starters = _largest_member_by_class(d)
     for ci, c in enumerate(rep.classes):
         assert c.witness is not None
+        # W(s, 0, k) is a Clifford move, which the enumerator leaves out
+        assert not [label for label in c.witness if label.startswith("W(") and ",0," in label]
         landed = apply_trace(starters[ci], c.witness).normalized()
         assert landed.to_text() == c.representative.to_text()
 
 
-def test_triple_witnesses_replay() -> None:
-    _assert_triple_witnesses_replay(9)
-
-
-def test_triple_witnesses_replay_prime_cube() -> None:
-    # traces at 27 use W moves with t > 0, the split and the residue rules
-    _assert_triple_witnesses_replay(27)
+@pytest.mark.parametrize("d", [4, 8, 9, 16, 25, 27, 32])
+def test_triple_witnesses_replay(d: int) -> None:
+    _assert_triple_witnesses_replay(d)
 
 
 def test_pair_witnesses_replay() -> None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from itertools import combinations
 
 import pytest
 
@@ -12,8 +14,10 @@ from gbsclass.moves import (
     Move,
     PreconditionViolated,
     apply_trace,
+    enumerator_moves,
     parse_move,
     rule_catalog,
+    tables,
 )
 from gbsclass.pauli import GpmSet, invariant_vector
 from gbsclass.residues import prime_power
@@ -103,6 +107,46 @@ def test_w_move_guards() -> None:
     for d in (7, 12):  # no sublattice multiplier off the prime powers p**alpha, alpha >= 2
         with pytest.raises(PreconditionViolated):
             parse_move("W(1,0,1)", d)
+
+
+def _lattice_triples(d: int, s: int, sample: int | None = None) -> list[GpmSet]:
+    """Normalized triples whose members all lie in {z = 0 mod p**s}.
+
+    All of them, or with ``sample`` a seeded sample of that many.
+    """
+    p, _ = prime_power(d)
+    vecs = [(x, z) for x in range(d) for z in range(0, d, p**s) if (x, z) != (0, 0)]
+    pairs = list(combinations(vecs, 2))
+    if sample is not None:
+        pairs = random.Random(d * 100 + s).sample(pairs, sample)
+    return [GpmSet(d, ((0, 0), v1, v2)) for v1, v2 in pairs]
+
+
+@pytest.mark.parametrize("d, sample", [(4, None), (8, None), (9, None), (16, None),
+                                       (25, None), (27, 500), (32, 500)])
+def test_w_without_x_condition_is_a_clifford_scaling(d: int, sample: int | None) -> None:
+    """On its lattice W(s, 0, k) is Q(u^-1), u = k p**(alpha-s) + 1.
+
+    So the enumerator leaves it out: it joins no two classes of P and R.
+    """
+    p, alpha = prime_power(d)
+    for s_ in range(1, alpha):
+        triples = _lattice_triples(d, s_, sample)
+        for k in range(1, p**s_):
+            u = k * p ** (alpha - s_) + 1
+            w = parse_move(f"W({s_},0,{k})", d)
+            q = parse_move(f"Q({pow(u, -1, d)})", d)
+            for S in triples:
+                assert w.apply(S) == q.apply(S), (d, s_, k, S.to_text())
+
+
+@pytest.mark.parametrize("d", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 128, 243])
+def test_enumerator_moves_skip_clifford_w(d: int) -> None:
+    labels = [mv.label for mv in enumerator_moves(d, tables(d))]
+    assert not [label for label in labels if label.startswith("W(") and ",0," in label]
+    if d == 32:
+        assert labels == ["P", "R", "PIVOT(1)", "W(1,1,1)", "W(1,2,1)", "W(1,3,1)",
+                          "W(2,1,1)", "W(2,2,1)", "W(3,1,1)", "RULE(x3-split)"]
 
 
 # ---------------------------------------------------------------------------
