@@ -37,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -48,9 +49,10 @@ from .residues import BRACKET, DOUBLE, bracket_partition, factorize, prime_power
 
 MAX_STATES = 12 * 10**6
 """Most states an enumeration may have: C(d*d - 1, 2) for triples, d*d
-for pairs, which build none.  Triples cost about 130 bytes a state in
-peak RSS (125 to 131 measured at d = 24, 32 and 64), so the cap is about
-1.6 GB: it admits d = 64 (8.4e6 states) and refuses d = 81 (2.2e7)."""
+for pairs, which build none.  Triples cost about 85 bytes a state in
+peak RSS above the import (82 to 84 measured at d = 32, 49 and 64; 91 to
+98 with witnesses), so the cap is about 1.1 GB: it admits d = 64 (8.4e6
+states) and refuses d = 81 (2.2e7)."""
 
 SEP_INVARIANT = "INVARIANT"
 SEP_THEOREM1 = "THEOREM1"
@@ -184,25 +186,41 @@ def formula_for(d: int, mode: str) -> CountFormula | None:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _offsets(d: int) -> np.ndarray:
+    """The row offsets of the state numbering: off[c1] = state(c1, c2) - c2.
+
+    States are the ``triu`` ranks of the two codes 0 < c1 < c2 < d*d:
+    row c1 holds the d*d - 1 - c1 states with that least code, in order
+    of c2.  One int32 entry per code, which holds every state while the
+    count stays under MAX_STATES; read-only, since it is cached.
+    """
+    n = d * d - 1
+    off = np.zeros(d * d, dtype=np.int32)
+    np.cumsum(np.arange(n - 1, 0, -1), out=off[2:])
+    off -= np.arange(1, d * d + 1, dtype=np.int32)
+    off.flags.writeable = False
+    return off
+
+
 def _pack(d: int, c1, c2):
     """The state of a triple, from the codes x*d + z of its two other members.
 
-    It is the ``triu`` rank of the two codes: with i = min - 1,
-    j = max - 1 and N = d*d - 1, row i starts at i(2N - i - 1)/2 and
-    (i, j) is j - i - 1 further on.  Codes are ints or int arrays.
+    One gather in the table of :func:`_offsets`; codes are ints or int
+    arrays, and int32 codes give int32 states.
     """
-    n = d * d - 1
-    i, j = np.minimum(c1, c2) - 1, np.maximum(c1, c2) - 1
-    return i * (2 * n - i - 1) // 2 + j - i - 1
+    return _offsets(d)[np.minimum(c1, c2)] + np.maximum(c1, c2)
 
 
 def _unpack(d: int, states: np.ndarray) -> list[np.ndarray]:
-    """The inverse of :func:`_pack`: per state, the codes of its members."""
-    n = d * d - 1
-    rows = np.arange(n - 1)
-    starts = rows * (2 * n - rows - 1) // 2
-    i = np.searchsorted(starts, states, side="right") - 1
-    return [i + 1, states - starts[i] + i + 2]
+    """The inverse of :func:`_pack`: per state, the codes of its members.
+
+    The row of a state is found among the int32 row starts state(c1, c1 + 1).
+    """
+    off = _offsets(d)
+    starts = off[1:-1] + np.arange(2, d * d, dtype=np.int32)
+    c1 = np.searchsorted(starts, states, side="right")
+    return [c1, states - off[c1]]
 
 
 def _array_tables(d: int) -> Tables | None:
@@ -211,7 +229,7 @@ def _array_tables(d: int) -> Tables | None:
     if tab is None:
         return None
     return replace(tab, vp=np.array(tab.vp, dtype=np.int8),
-                   pw=np.array(tab.pw, dtype=np.int64))
+                   pw=np.array(tab.pw, dtype=np.int32))
 
 
 Arrows = tuple[str, np.ndarray, np.ndarray]
@@ -223,7 +241,8 @@ the sources are ascending; :func:`_walk` relies on both."""
 
 def _arrows(label: str, src: np.ndarray, dst: np.ndarray) -> Arrows:
     moved = dst != src
-    return label, src[moved].astype(np.int32), dst[moved].astype(np.int32)
+    src, dst = src[moved], dst[moved]
+    return label, src.astype(np.int32, copy=False), dst.astype(np.int32, copy=False)
 
 
 def _restrict(members: list, keep: np.ndarray) -> list:
@@ -234,13 +253,17 @@ def _restrict(members: list, keep: np.ndarray) -> list:
 def _moves(d: int) -> list[Arrows]:
     """Every move as arrows; a guarded move is evaluated on its states only.
 
-    The members of every state come from :func:`_unpack`, and each image
-    set is numbered by :func:`_pack`.  A guard is evaluated on the states
-    inside the guard its move names as ``within``, whose states and
-    members are kept for that reason.
+    The codes of every state are read off the rows of :func:`_offsets`,
+    and each image set is numbered by :func:`_pack`, all in int32.  A
+    guard is evaluated on the states inside the guard its move names as
+    ``within``, whose states and members are kept for that reason.
     """
-    states = np.arange(math.comb(d * d - 1, 2), dtype=np.int32)
-    universe = [(0, 0), *((c // d, c % d) for c in _unpack(d, states))]
+    n = d * d - 1
+    states = np.arange(math.comb(n, 2), dtype=np.int32)
+    c1 = np.repeat(np.arange(1, n, dtype=np.int32), np.arange(n - 1, 0, -1))
+    c2 = states - _offsets(d)[c1]
+    universe = [(0, 0), np.divmod(c1, d), np.divmod(c2, d)]
+    del c1, c2
     inside: dict[str, tuple[np.ndarray, list]] = {}
 
     def arrows(mv: Move) -> Arrows:
@@ -298,16 +321,27 @@ def _last_states(inverse: np.ndarray, count: int) -> np.ndarray:
     return last
 
 
-_STATE: dict[int, tuple] = {}
+_STATE: dict[int, dict[str, tuple | np.ndarray]] = {}
+"""The state graph of the latest triple dimension only, and, once a
+witness was asked for there, its BFS distances."""
 
 
 def _state(d: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
-    """Moves, class roots and class index of the triples at d; only the latest d is kept."""
+    """Moves, class roots and class index of the triples at d."""
     if d not in _STATE:
         _STATE.clear()
         moves = _moves(d)
-        _STATE[d] = (moves, *_classes(_components(math.comb(d * d - 1, 2), moves)))
-    return _STATE[d]
+        _STATE[d] = {"graph": (moves, *_classes(_components(math.comb(d * d - 1, 2), moves)))}
+    return _STATE[d]["graph"]
+
+
+def _state_distances(d: int) -> np.ndarray:
+    """The :func:`_distances` of the triples at d, kept with :func:`_state`'s entry."""
+    moves, class_roots, inverse = _state(d)
+    entry = _STATE[d]
+    if "dist" not in entry:
+        entry["dist"] = _distances(inverse.shape[0], moves, class_roots)
+    return entry["dist"]
 
 
 def _divisor_classes(d: int) -> tuple[np.ndarray, list[int]]:
@@ -369,27 +403,26 @@ def _distances(n: int, moves: list[Arrows], rep_states: np.ndarray) -> np.ndarra
 
     The distance is -1 where no representative is reachable.  The BFS
     indexes the arrows once: each becomes one int64 key holding its image
-    and source in bit fields, and the sorted keys with CSR offsets per
-    image list every state's in-arrows.  A level gathers the in-arrows of
-    the frontier and gives the next level to the sources not yet
-    visited, so each arrow is read in one level only.
+    and source in bit fields, and the sorted keys list every state's
+    in-arrows, from the CSR offsets that one ``np.searchsorted`` of each
+    image's least key finds.  A level gathers the in-arrows of the
+    frontier and gives the next level to the sources not yet visited, so
+    each arrow is read in one level only.
     """
     dist = np.full(n, -1, dtype=np.int32)
     # the two fields take at most 48 bits while n <= MAX_STATES
     src_bits = max(n - 1, 1).bit_length()
     key = np.empty(sum(src.shape[0] for _, src, _ in moves), dtype=np.int64)
-    indegree = np.zeros(n, dtype=np.int64)
     end = 0
     for _, src, dst in moves:
         k = key[end:end + src.shape[0]]
         np.left_shift(dst, src_bits, out=k, dtype=np.int64)
         k |= src
-        indegree += np.bincount(dst, minlength=n)
         end += src.shape[0]
     key.sort()
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(indegree, out=start[1:])
-    del indegree
+    start = np.arange(n + 1, dtype=np.int64)
+    start <<= src_bits
+    start = np.searchsorted(key, start)
     dist[rep_states] = 0
     frontier = np.flatnonzero(dist == 0)
     level = 0
@@ -698,8 +731,7 @@ def _classify(
     if emit_witnesses and mode == "pairs":
         witnesses = [_pair_witness(d, r or d) for r in class_roots.tolist()]
     elif emit_witnesses:
-        dist = _distances(inverse.shape[0], moves, class_roots)
-        witnesses = _walk(moves, dist, _last_states(inverse, C))
+        witnesses = _walk(moves, _state_distances(d), _last_states(inverse, C))
         for ci, w in enumerate(witnesses):
             if w is None:
                 notes.add(f"no witness path found for class {ci + 1}")

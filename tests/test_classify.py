@@ -8,6 +8,7 @@ form applies, after the formula agreed too).
 from __future__ import annotations
 
 import json
+import math
 from itertools import combinations
 
 import numpy as np
@@ -20,11 +21,13 @@ from gbsclass.classify import (
     OutOfDomain,
     CountFormula,
     _STATE,
+    _array_tables,
     _components,
     _distances,
     _divisor_classes,
     _expectation,
     _last_states,
+    _moves,
     _pack,
     _state,
     _unpack,
@@ -37,7 +40,7 @@ from gbsclass.classify import (
     locate_class,
     sign_flip_feasibility,
 )
-from gbsclass.moves import PreconditionViolated, apply_trace, parse_move
+from gbsclass.moves import PreconditionViolated, apply_trace, enumerator_moves, parse_move
 from gbsclass.pauli import GpmSet
 
 from pair_graph import pair_graph
@@ -240,18 +243,85 @@ def test_triple_class_counts_every_dimension() -> None:
     assert counts == TRIPLE_COUNTS
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 8, 9, 16])
+def _reference_pack(d: int, c1, c2):
+    """The ``triu`` rank by arithmetic: with i = min - 1, j = max - 1 and
+    N = d*d - 1, row i starts at i(2N - i - 1)/2, and (i, j) is j - i - 1
+    further on."""
+    n = d * d - 1
+    i, j = np.minimum(c1, c2) - 1, np.maximum(c1, c2) - 1
+    return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
+def _reference_unpack(d: int, states: np.ndarray) -> list[np.ndarray]:
+    """The inverse of :func:`_reference_pack`, by search in the int64 row starts."""
+    n = d * d - 1
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, states, side="right") - 1
+    return [i + 1, states - starts[i] + i + 2]
+
+
+def _reference_moves(d: int) -> list:
+    """The enumerator's arrows, with every state numbered by the references."""
+    states = np.arange(math.comb(d * d - 1, 2))
+    universe = [(0, 0), *((c // d, c % d) for c in _reference_unpack(d, states))]
+    inside: dict = {}
+    arrows = []
+    for mv in enumerator_moves(d, _array_tables(d)):
+        src, members = states, universe
+        if mv.guard is not None:
+            src, members = inside.get(mv.within, (states, universe))
+            keep = np.flatnonzero(mv.guard(members))
+            src = src[keep]
+            members = [members[0], *((a[keep], b[keep]) for a, b in members[1:])]
+            inside[mv.label] = src, members
+        _, (x1, z1), (x2, z2) = mv.image(members)
+        dst = _reference_pack(d, (x1 % d) * d + z1 % d, (x2 % d) * d + z2 % d)
+        arrows.append((mv.label, src[dst != src], dst[dst != src]))
+    return arrows
+
+
+@pytest.mark.parametrize("d", [*range(2, 13), 16, 24, 25, 32])
 def test_state_numbering(d: int) -> None:
     """Triples are numbered in ``triu`` order of their two codes.
 
-    Packing inverts unpacking, in either member order.
+    The offset table gives every state the reference number, and packing
+    inverts unpacking, in either member order.
     """
     rows, cols = np.triu_indices(d * d - 1, k=1)
     states = np.arange(rows.size)
+    assert (_reference_pack(d, rows + 1, cols + 1) == states).all()
     M1, M2 = _unpack(d, states)
     assert (M1 == rows + 1).all() and (M2 == cols + 1).all()
-    assert (_pack(d, M1, M2) == states).all()
-    assert (_pack(d, M2, M1) == states).all()
+    for R, N in zip(_reference_unpack(d, states), (M1, M2)):
+        assert (R == N).all()
+    c1, c2 = M1.astype(np.int32), M2.astype(np.int32)
+    for packed in (_pack(d, c1, c2), _pack(d, c2, c1)):
+        assert packed.dtype == np.int32
+        assert (packed == states).all()
+
+
+@pytest.mark.parametrize("d", [8, 16, 24, 27, 32])
+def test_moves_match_the_reference_numbering(d: int) -> None:
+    """The int32 build gives the reference arrows, label by label.
+
+    Every move's arrows are int32, with ascending sources, which
+    :func:`_walk` relies on.
+    """
+    got, want = _moves(d), _reference_moves(d)
+    assert [label for label, _, _ in got] == [label for label, _, _ in want]
+    for (label, src, dst), (_, ref_src, ref_dst) in zip(got, want):
+        assert src.dtype == dst.dtype == np.int32, label
+        assert (np.diff(src) > 0).all(), label
+        assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst), label
+
+
+def test_offset_table_is_built_once_per_dimension() -> None:
+    """Many lookups at one d build its offset table once."""
+    classify._offsets.cache_clear()
+    for S in (s("0,0;0,1;1,0", 25), s("0,0;0,5;5,0", 25), s("0,0;1,1;2,3", 25)) * 20:
+        locate_class(25, S)
+    assert classify._offsets.cache_info().misses == 1
 
 
 def _ablation(d: int, dropped: str, count: int):
@@ -472,6 +542,22 @@ def _assert_triple_witnesses_replay(d: int) -> None:
 @pytest.mark.parametrize("d", [4, 8, 9, 16, 25, 27, 32])
 def test_triple_witnesses_replay(d: int) -> None:
     _assert_triple_witnesses_replay(d)
+
+
+def test_repeat_witness_call_runs_no_bfs(monkeypatch) -> None:
+    """The witness distances are kept with the state graph of their d."""
+    monkeypatch.setattr(classify, "_STATE", {})
+    bfs_runs = []
+    distances = classify._distances
+
+    def counted(*args):
+        bfs_runs.append(args[0])
+        return distances(*args)
+
+    monkeypatch.setattr(classify, "_distances", counted)
+    first = enumerate_triples(27, emit_witnesses=True).to_json()
+    assert enumerate_triples(27, emit_witnesses=True).to_json() == first
+    assert bfs_runs == [math.comb(27 * 27 - 1, 2)]
 
 
 def test_pair_witnesses_replay() -> None:
