@@ -321,27 +321,16 @@ def _last_states(inverse: np.ndarray, count: int) -> np.ndarray:
     return last
 
 
-_STATE: dict[int, dict[str, tuple | np.ndarray]] = {}
-"""The state graph of the latest triple dimension only, and, once a
-witness was asked for there, its BFS distances."""
+_STATE: dict[int, tuple] = {}
 
 
 def _state(d: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
-    """Moves, class roots and class index of the triples at d."""
+    """Moves, class roots and class index of the triples at d; only the latest d is kept."""
     if d not in _STATE:
         _STATE.clear()
         moves = _moves(d)
-        _STATE[d] = {"graph": (moves, *_classes(_components(math.comb(d * d - 1, 2), moves)))}
-    return _STATE[d]["graph"]
-
-
-def _state_distances(d: int) -> np.ndarray:
-    """The :func:`_distances` of the triples at d, kept with :func:`_state`'s entry."""
-    moves, class_roots, inverse = _state(d)
-    entry = _STATE[d]
-    if "dist" not in entry:
-        entry["dist"] = _distances(inverse.shape[0], moves, class_roots)
-    return entry["dist"]
+        _STATE[d] = (moves, *_classes(_components(math.comb(d * d - 1, 2), moves)))
+    return _STATE[d]
 
 
 def _divisor_classes(d: int) -> tuple[np.ndarray, list[int]]:
@@ -731,7 +720,8 @@ def _classify(
     if emit_witnesses and mode == "pairs":
         witnesses = [_pair_witness(d, r or d) for r in class_roots.tolist()]
     elif emit_witnesses:
-        witnesses = _walk(moves, _state_distances(d), _last_states(inverse, C))
+        dist = _distances(inverse.shape[0], moves, class_roots)
+        witnesses = _walk(moves, dist, _last_states(inverse, C))
         for ci, w in enumerate(witnesses):
             if w is None:
                 notes.add(f"no witness path found for class {ci + 1}")

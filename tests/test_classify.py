@@ -544,22 +544,6 @@ def test_triple_witnesses_replay(d: int) -> None:
     _assert_triple_witnesses_replay(d)
 
 
-def test_repeat_witness_call_runs_no_bfs(monkeypatch) -> None:
-    """The witness distances are kept with the state graph of their d."""
-    monkeypatch.setattr(classify, "_STATE", {})
-    bfs_runs = []
-    distances = classify._distances
-
-    def counted(*args):
-        bfs_runs.append(args[0])
-        return distances(*args)
-
-    monkeypatch.setattr(classify, "_distances", counted)
-    first = enumerate_triples(27, emit_witnesses=True).to_json()
-    assert enumerate_triples(27, emit_witnesses=True).to_json() == first
-    assert bfs_runs == [math.comb(27 * 27 - 1, 2)]
-
-
 def test_pair_witnesses_replay() -> None:
     d = 12
     rep = enumerate_pairs(d, emit_witnesses=True)
