@@ -1,25 +1,34 @@
 """Exhaustive classification of Pauli pairs and triples at one dimension.
 
-Triples are classified on a state graph.  :func:`_pack` and
-:func:`_unpack` number the universe of normalized triples
-{identity, v1, v2} as states, by the ``triu`` rank of the codes x*d + z
-of v1 and v2.  The move list of :func:`gbsclass.moves.enumerator_moves`
-is evaluated on the whole universe at once: P and R, which generate every
-determinant-one exponent map mod d, PIVOT(1), and at prime powers
-W(s, t, 1) for every sublattice with t >= 1 and the split rule.  A move
-is stored as its arrows only, the int32 pairs (state, image) with image
-!= state, and a guarded move is evaluated on the states inside its guard
-alone.
+Triple classes come from a complete invariant, the key.  For a triple
+{identity, v1, v2} the ordered key is the relation lattice
+K = {(a, b) : a*v1 + b*v2 = 0 mod d} together with the commutation phase
+omega = det[v1 v2]; the key is the least ordered key over the six
+orderings of the members.  Conjugation keeps K and omega, so the key is
+an invariant; equal keys give representations with equal characters, so
+it is complete (Serre, Linear Representations of Finite Groups, 1977,
+section 2.3).  SL(2, Z_d) keeps the ordered key and carries v1 to
+(0, gcd(v1, d)), so every class shows up in a divisor row of
+:func:`_key_rows`, v1 = (0, g) with v2 free, where K has a closed form.
+Each class is rooted at its least triple, which lies in such a row.
 
-Connected components come from min-label hooking with pointer jumping over
-all arrows at once, and each class is keyed by its least state.  The
-components are then labeled with exact invariants.  Because the
-invariants never change under true equivalence and the moves never merge
-inequivalent sets, singleton invariant cells prove the class count
-correct; at p^alpha with alpha >= 2, equal-invariant components are
-separated, where possible, by the sign-flip feasibility criterion, and
-final counts are compared against closed-form expectations on the
-dimensions where those are valid.
+The state graph serves witnesses only.  :func:`_pack` and
+:func:`_unpack` number the universe of normalized triples as states, by
+the ``triu`` rank of the codes x*d + z of v1 and v2.  The move list of
+:func:`gbsclass.moves.enumerator_moves` is evaluated on the whole
+universe at once: P and R, which generate every determinant-one exponent
+map mod d, PIVOT(1), and at prime powers W(s, t, 1) for every sublattice
+with t >= 1 and the split rule.  A move is stored as its arrows only, the
+int32 pairs (state, image) with image != state, and a guarded move is
+evaluated on the states inside its guard alone.  Connected components
+come from min-label hooking with pointer jumping over all arrows at
+once; each is mapped onto its key class, and a note names any class the
+moves leave split.
+
+The classes are labeled with exact invariants.  At p^alpha with
+alpha >= 2, equal-invariant classes are separated, where possible, by the
+sign-flip feasibility criterion, and final counts are compared against
+closed-form expectations on the dimensions where those are valid.
 
 Pairs build no states.  Their classes come from the divisors of d, in
 :func:`_divisor_classes`: SL(2, Z_d), generated by the moves P and R,
@@ -38,7 +47,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,10 +58,11 @@ from .residues import BRACKET, DOUBLE, bracket_partition, factorize, prime_power
 
 MAX_STATES = 12 * 10**6
 """Most states an enumeration may have: C(d*d - 1, 2) for triples, d*d
-for pairs, which build none.  Triples cost about 85 bytes a state in
-peak RSS above the import (82 to 84 measured at d = 32, 49 and 64; 91 to
-98 with witnesses), so the cap is about 1.1 GB: it admits d = 64 (8.4e6
-states) and refuses d = 81 (2.2e7)."""
+for pairs.  Only triples with witnesses build the states, at about 90
+bytes a state in peak RSS above the import (85 to 92 measured at d = 32,
+49 and 64), so the cap is about 1.1 GB: it admits d = 64 (8.4e6 states)
+and refuses d = 81 (2.2e7).  Pairs, and triples without witnesses, build
+none but keep the cap as their contract."""
 
 SEP_INVARIANT = "INVARIANT"
 SEP_THEOREM1 = "THEOREM1"
@@ -192,8 +202,10 @@ def _offsets(d: int) -> np.ndarray:
 
     States are the ``triu`` ranks of the two codes 0 < c1 < c2 < d*d:
     row c1 holds the d*d - 1 - c1 states with that least code, in order
-    of c2.  One int32 entry per code, which holds every state while the
-    count stays under MAX_STATES; read-only, since it is cached.
+    of c2.  Only the witness graph numbers states: :func:`_moves` and
+    the class roots and components it maps.  One int32 entry per code,
+    which holds every state while the count stays under MAX_STATES;
+    read-only, since it is cached.
     """
     n = d * d - 1
     off = np.zeros(d * d, dtype=np.int32)
@@ -207,7 +219,8 @@ def _pack(d: int, c1, c2):
     """The state of a triple, from the codes x*d + z of its two other members.
 
     One gather in the table of :func:`_offsets`; codes are ints or int
-    arrays, and int32 codes give int32 states.
+    arrays, and int32 codes give int32 states.  It numbers the images of
+    :func:`_moves` and the class roots the witness BFS starts from.
     """
     return _offsets(d)[np.minimum(c1, c2)] + np.maximum(c1, c2)
 
@@ -309,9 +322,9 @@ def _components(n: int, moves: list[Arrows]) -> np.ndarray:
 
 
 def _classes(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class roots in ascending order, and each state's class index."""
+    """Class roots in ascending order, and each state's int32 class index."""
     is_root = roots == np.arange(roots.shape[0])
-    return np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[roots]
+    return np.flatnonzero(is_root), (np.cumsum(is_root, dtype=np.int32) - 1)[roots]
 
 
 def _last_states(inverse: np.ndarray, count: int) -> np.ndarray:
@@ -325,7 +338,10 @@ _STATE: dict[int, tuple] = {}
 
 
 def _state(d: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
-    """Moves, class roots and class index of the triples at d; only the latest d is kept."""
+    """Moves, component roots and component index of the triples at d.
+
+    Only the witness path builds it, and only the latest d is kept.
+    """
     if d not in _STATE:
         _STATE.clear()
         moves = _moves(d)
@@ -333,13 +349,11 @@ def _state(d: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
     return _STATE[d]
 
 
-def _divisor_classes(d: int) -> tuple[np.ndarray, list[int]]:
-    """Pair class roots in ascending order, and their orbit sizes.
+def _divisors(d: int) -> list[tuple[int, int]]:
+    """Each divisor g of d, ascending, with the number of v in Z_d^2 of gcd g.
 
-    The class of divisor g holds the pairs {identity, v} with gcd(v, d) =
-    g; its root is the code g mod d of (0, g), so the identity pair
-    (g = d) comes first.  There are J_2(d/g) such v, Jordan's totient
-    J_2(n) = n^2 * prod over primes p | n of (1 - p^-2), and J_2(1) = 1.
+    That number is J_2(d/g), Jordan's totient J_2(n) = n^2 * prod over
+    primes p | n of (1 - p^-2), and J_2(1) = 1.
     """
     primes = [p for p, _ in factorize(d)]
 
@@ -350,8 +364,17 @@ def _divisor_classes(d: int) -> tuple[np.ndarray, list[int]]:
                 j = j // (p * p) * (p * p - 1)
         return j
 
-    divisors = [g for g in range(1, d + 1) if d % g == 0]
-    roots, sizes = zip(*sorted((g % d, jordan2(d // g)) for g in divisors))
+    return [(g, jordan2(d // g)) for g in range(1, d + 1) if d % g == 0]
+
+
+def _divisor_classes(d: int) -> tuple[np.ndarray, list[int]]:
+    """Pair class roots in ascending order, and their orbit sizes.
+
+    The class of divisor g holds the J_2(d/g) pairs {identity, v} with
+    gcd(v, d) = g; its root is the code g mod d of (0, g), so the
+    identity pair (g = d) comes first.
+    """
+    roots, sizes = zip(*sorted((g % d, j) for g, j in _divisors(d)))
     return np.array(roots, dtype=np.int64), list(sizes)
 
 
@@ -380,6 +403,133 @@ def _check_dim(d: int, mode: str, enum_cap: int) -> None:
     if states > MAX_STATES:
         raise DimensionTooLarge(
             f"{mode} enumeration capped at {MAX_STATES} states, got {states} at d={d}")
+
+
+# ---------------------------------------------------------------------------
+# Triple classes from the divisor rows.
+# ---------------------------------------------------------------------------
+
+
+# The six orderings of a triple's members: the pivot onto each member,
+# then either order of the other two.  ((a1, b1), (a2, b2)) stands for
+# the ordered pair (a1*v1 + b1*v2, a2*v1 + b2*v2).
+_RELABELLINGS = (
+    ((1, 0), (0, 1)),  # (v1, v2)
+    ((0, 1), (1, 0)),  # (v2, v1)
+    ((-1, 0), (-1, 1)),  # (-v1, v2 - v1)
+    ((-1, 1), (-1, 0)),  # (v2 - v1, -v1)
+    ((0, -1), (1, -1)),  # (-v2, v1 - v2)
+    ((1, -1), (0, -1)),  # (v1 - v2, -v2)
+)
+
+
+def _row_key(d: int, g: int, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ordered key of ((0, g), (x, z)) per code, less its h = d/g: (a0, m, omega).
+
+    K has the basis (h, 0), (a0, m).  a*(0, g) + b*(x, z) = 0 mod d needs
+    b*x = 0 mod d and b*z = 0 mod g, so b runs over the multiples of
+    m = lcm(d / gcd(x, d), g / gcd(z, g)); b = 0 leaves a in h*Z, and
+    b = m fixes a = -(m*z/g) mod h.  omega = det[(0, g) (x, z)] = -g*x.
+    """
+    m = np.lcm(d // np.gcd(x, d), g // np.gcd(z, g))
+    return -(m * z // g) % (d // g), m, -g * x % d
+
+
+def _carry(d: int, v1: tuple[int, int], v2: tuple[int, int]) -> tuple[int, int]:
+    """(g, c2): a map of SL(2, Z_d) takes v1 != 0 to (0, g) and v2 to code c2.
+
+    Euclid's algorithm on v1 by integer determinant-one steps, the shear
+    (x, z) -> (x, z - q*x) and the rotation (x, z) -> (z, -x), carries
+    v1 to (0, +-G) with G = gcd(x1, z1); the same steps act on v2.  The
+    quotient q is rounded to nearest, so each step at least halves |x|.
+    As (0, G) = (d, G) mod d, a second pass from (d, G) reaches
+    (0, +-g) with g = gcd(x1, z1, d), and a sign flip -(v1, v2), which
+    has determinant one too, makes it (0, g).
+    """
+    (x1, z1), (x2, z2) = v1, v2
+    for _ in range(2):
+        while x1:
+            q = (2 * z1 + x1) // (2 * x1)
+            x1, z1, x2, z2 = z1 - q * x1, -x1, z2 - q * x2, -x2
+        x1 = d
+    if z1 < 0:
+        z1, x2, z2 = -z1, -x2, -z2
+    return z1, x2 % d * d + z2 % d
+
+
+class KeyRows(NamedTuple):
+    """The triple classes at d, read off the divisor rows.
+
+    ``roots`` holds the codes (g, c2) of each class's least triple
+    {identity, (0, g), v2}, in ascending order; ``sizes`` the orbit
+    sizes; ``index[g]`` the int32 class index of each code v2 in row g,
+    -1 where v2 is 0 or (0, g).
+    """
+
+    roots: list[tuple[int, int]]
+    sizes: list[int]
+    index: dict[int, np.ndarray]
+
+
+@lru_cache(maxsize=16)
+def _key_rows(d: int) -> KeyRows:
+    """The triple classes at d from the key of every triple in a divisor row.
+
+    Row g < d holds the triples {identity, (0, g), v2} for every code v2,
+    with their ordered keys packed into one int each.  Each distinct
+    ordered key is made canonical once: each ordering of a triple that
+    has it is carried into its own divisor row, and the least packed key
+    found there is the key.  A class's root is its first triple in
+    ascending (g, c2 > g) order, which is its least triple.  Each v1 of
+    gcd g is carried to (0, g) by J_2(d/g) maps of SL(2, Z_d), so the
+    orbit size of a class is half the sum over rows of J_2(d/g) times its
+    count in row g.  Read-only, since it is cached.
+    """
+    rows = [(g, j) for g, j in _divisors(d) if g < d]
+    x, z = np.divmod(np.arange(d * d), d)
+    base = d + 1
+    packed: dict[int, np.ndarray] = {}
+    for g, _ in rows:
+        a0, m, omega = _row_key(d, g, x, z)
+        packed[g] = ((d // g * base + a0) * base + m) * base + omega
+        packed[g][[0, g]] = -1  # v2 = 0 or v2 = v1 is no triple
+    ordered, first, inverse = np.unique(
+        np.concatenate(list(packed.values())), return_index=True, return_inverse=True)
+    canonical: dict[int, int] = {}
+    label = np.full(ordered.size, -1, dtype=np.int64)
+    for i, at in enumerate(first.tolist()):
+        if ordered[i] < 0:
+            continue
+        g, (x2, z2) = rows[at // (d * d)][0], divmod(at % (d * d), d)
+        least = min(int(packed[h][c]) for h, c in (
+            _carry(d, (b1 * x2, a1 * g + b1 * z2), (b2 * x2, a2 * g + b2 * z2))
+            for (a1, b1), (a2, b2) in _RELABELLINGS))
+        label[i] = canonical.setdefault(least, len(canonical))
+    labels = label[inverse].reshape(len(rows), d * d)
+
+    root_of: dict[int, tuple[int, int]] = {}
+    for r, (g, _) in enumerate(rows):
+        found, at = np.unique(labels[r, g + 1:], return_index=True)
+        for lab, c2 in zip(found.tolist(), (at + g + 1).tolist()):
+            root_of.setdefault(lab, (g, c2))
+    order = sorted(root_of, key=root_of.get)
+    klass = np.full(len(canonical), -1, dtype=np.int32)
+    klass[order] = np.arange(len(order), dtype=np.int32)
+
+    index: dict[int, np.ndarray] = {}
+    sizes = np.zeros(len(order), dtype=np.int64)
+    for r, (g, j) in enumerate(rows):
+        row = np.where(labels[r] < 0, -1, klass[labels[r]])
+        row.flags.writeable = False
+        index[g] = row
+        sizes += j * np.bincount(row[row >= 0], minlength=len(order))
+    return KeyRows([root_of[lab] for lab in order], (sizes // 2).tolist(), index)
+
+
+def _locate(d: int, v1: tuple[int, int], v2: tuple[int, int]) -> int:
+    """The class index of {identity, v1, v2}, v1 != 0, from its divisor row."""
+    g, c2 = _carry(d, v1, v2)
+    return int(_key_rows(d).index[g][c2])
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +606,43 @@ def _walk(moves: list[Arrows], dist: np.ndarray, starts: np.ndarray) -> list[lis
     return words
 
 
+def _triple_witnesses(
+    d: int, roots: list[tuple[int, int]]
+) -> tuple[list[list[str] | None], list[str]]:
+    """Each triple class's witness on the state graph, and a note per split class.
+
+    The components of :func:`_state` are mapped onto the key classes by
+    the class of their roots.  The BFS runs from the class roots, and
+    each class's walk starts at its largest state, the largest of its
+    components' largest states.  Where the moves leave a class in k > 1
+    components, only the states in its root's component reach the root.
+    """
+    moves, comp_roots, comp_index = _state(d)
+    comp_class = np.array([_locate(d, divmod(c1, d), divmod(c2, d))
+                           for c1, c2 in zip(*(c.tolist() for c in _unpack(d, comp_roots)))],
+                          dtype=np.int32)
+    C = len(roots)
+    starts = np.zeros(C, dtype=np.int64)
+    np.maximum.at(starts, comp_class, _last_states(comp_index, comp_roots.size))
+    dist = _distances(comp_index.shape[0], moves, _pack(d, *np.array(roots).T))
+    notes = [f"move graph splits class {ci + 1} into {k} components"
+             for ci, k in enumerate(np.bincount(comp_class, minlength=C).tolist()) if k > 1]
+    return _walk(moves, dist, starts), notes
+
+
 # ---------------------------------------------------------------------------
 # Obstruction scan.
 # ---------------------------------------------------------------------------
 
 
 def _obstruction_scan(
-    d: int, p: int, alpha: int
+    d: int, p: int, alpha: int, index: dict[int, np.ndarray]
 ) -> Iterator[tuple[int, int, int, int, int, str]]:
-    """Yield (state, partner, s, t, t', verdict) for every sign-flip pattern.
+    """Yield (class, partner class, s, t, t', verdict) for every sign-flip pattern.
 
     Only triples whose middle member is Z^(p^s) can match, so the scan
-    walks those rows alone: code M1 = p^s, and M2 from p^s + 1 to d^2 - 1.
+    walks those divisor rows alone: code M1 = p^s, and M2 from p^s + 1
+    to d^2 - 1, with the class indices of :func:`_key_rows`.
     """
     vp = _array_tables(d).vp
     for s in range(alpha):
@@ -476,15 +651,15 @@ def _obstruction_scan(
         S2, T2 = M2 // d, M2 % d
         vpx = vp[S2]
         cand = np.flatnonzero((S2 != 0) & (vpx > s) & (vpx + s < alpha) & (T2 % ps == 0))
-        states = _pack(d, ps, M2[cand]).tolist()
-        partners = _pack(d, ps, (-S2[cand] % d) * d + T2[cand]).tolist()
-        for i, state, partner in zip(cand.tolist(), states, partners):
+        classes = index[ps][M2[cand]].tolist()
+        partners = index[ps][(-S2[cand] % d) * d + T2[cand]].tolist()
+        for i, ci, cj in zip(cand.tolist(), classes, partners):
             t = int(vpx[i])
             m = p ** (t - s)
             tp = (int(T2[i]) // ps) % m
             if not 1 < tp < m:
                 continue
-            yield state, partner, s, t, tp, sign_flip_feasibility(p, alpha, s, t, tp)
+            yield ci, cj, s, t, tp, sign_flip_feasibility(p, alpha, s, t, tp)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +839,10 @@ def _classify(
 
     Pairs take their classes and witnesses from the divisors of d, with
     no state graph: P and R generate SL(2, Z_d), which carries v to
-    (0, gcd(v, d)), and J_2(d/g) vectors have gcd g.  Triples build the
-    graph of :func:`_state`, after the caps and the probes are checked.
+    (0, gcd(v, d)), and J_2(d/g) vectors have gcd g.  Triples take their
+    classes from the key rows of :func:`_key_rows`; only their witnesses
+    build the graph of :func:`_state`, after the caps and the probes are
+    checked.
     """
     _check_dim(d, mode, enum_cap)
     for a in (*(i3_probes or ()), *(power_probes or ())):
@@ -674,10 +851,9 @@ def _classify(
         class_roots, sizes = _divisor_classes(d)
         codes = [(c,) for c in class_roots.tolist()]
     else:
-        moves, class_roots, inverse = _state(d)
-        sizes = np.bincount(inverse)
-        codes = list(zip(*(c.tolist() for c in _unpack(d, class_roots))))
-    C = len(class_roots)
+        rows = _key_rows(d)
+        codes, sizes = rows.roots, rows.sizes
+    C = len(codes)
 
     reps = [GpmSet(d, ((0, 0), *(divmod(c, d) for c in cs))) for cs in codes]
     ivs = [invariant_vector(S, i3_probes, power_probes) for S in reps]
@@ -689,8 +865,7 @@ def _classify(
     pa = prime_power(d)
     if mode == "triples" and pa is not None and pa[1] >= 2:
         p, alpha = pa
-        for i, partner, s, t, tp, verdict in _obstruction_scan(d, p, alpha):
-            ci, cj = int(inverse[i]), int(inverse[partner])
+        for ci, cj, s, t, tp, verdict in _obstruction_scan(d, p, alpha, rows.index):
             if verdict == INFEASIBLE:
                 if ci == cj:
                     notes.add(
@@ -720,8 +895,8 @@ def _classify(
     if emit_witnesses and mode == "pairs":
         witnesses = [_pair_witness(d, r or d) for r in class_roots.tolist()]
     elif emit_witnesses:
-        dist = _distances(inverse.shape[0], moves, class_roots)
-        witnesses = _walk(moves, dist, _last_states(inverse, C))
+        witnesses, split = _triple_witnesses(d, codes)
+        notes.update(split)
         for ci, w in enumerate(witnesses):
             if w is None:
                 notes.add(f"no witness path found for class {ci + 1}")
@@ -788,7 +963,7 @@ def locate_class(d: int, S: GpmSet, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     m1, m2 = (x * d + z for x, z in members[1:])
     if not 0 < m1 < m2:
         raise ValueError(f"set {S.to_text()!r} is not a valid normalized triple")
-    return int(_state(d)[2][_pack(d, m1, m2)])
+    return _locate(d, *members[1:])
 
 
 def family_breakdown(d: int, enum_cap: int = DEFAULT_ENUM_CAP) -> dict[str, list[int]]:

@@ -26,9 +26,11 @@ from gbsclass.classify import (
     _distances,
     _divisor_classes,
     _expectation,
+    _key_rows,
     _last_states,
     _moves,
     _pack,
+    _row_key,
     _state,
     _unpack,
     _walk,
@@ -41,7 +43,8 @@ from gbsclass.classify import (
     sign_flip_feasibility,
 )
 from gbsclass.moves import PreconditionViolated, apply_trace, enumerator_moves, parse_move
-from gbsclass.pauli import GpmSet
+from gbsclass.oracle import build_gpm_matrix
+from gbsclass.pauli import Gpm, GpmSet
 
 from pair_graph import pair_graph
 
@@ -220,12 +223,16 @@ def test_pair_witnesses_match_the_state_graph() -> None:
 # ---------------------------------------------------------------------------
 
 
+# d = 24 has 71 classes, not the 72 components of the move graph: the
+# classes rooted at SPLIT_AT_24 are one, as the dense intertwiner of
+# test_d24_merge_has_a_dense_intertwiner shows
 TRIPLE_COUNTS = {
     2: 1, 3: 2, 4: 4, 5: 3, 6: 9, 7: 5, 8: 12, 9: 9, 10: 13, 11: 7, 12: 27,
     13: 9, 14: 19, 15: 20, 16: 28, 17: 11, 18: 37, 19: 13, 20: 39, 21: 30,
-    22: 27, 23: 15, 24: 72, 25: 21, 26: 33, 27: 32, 28: 55, 29: 19, 30: 83,
+    22: 27, 23: 15, 24: 71, 25: 21, 26: 33, 27: 32, 28: 55, 29: 19, 30: 83,
     31: 21, 32: 60,
 }
+SPLIT_AT_24 = ("0,0;0,2;2,0", "0,0;0,2;10,0")
 
 
 def test_triple_counts_frozen() -> None:
@@ -237,10 +244,123 @@ def test_triple_counts_frozen() -> None:
         assert rep.status == expected_status, d
 
 
+def _triple(d: int, c1: int, c2: int) -> GpmSet:
+    return GpmSet(d, ((0, 0), divmod(c1, d), divmod(c2, d)))
+
+
 def test_triple_class_counts_every_dimension() -> None:
-    """Every count at d = 2..32, read from the components without labelling."""
-    counts = {d: len(_state(d)[1]) for d in range(2, 33)}
+    """The key classes are the move graph's components at d = 2..32, but one.
+
+    Partition, roots and orbit sizes agree everywhere except at d = 24,
+    where the key joins exactly the two components rooted at
+    SPLIT_AT_24.  Each component is mapped to the key class of its root;
+    the class of every state (at d <= 8) or of 200 seeded states must be
+    its component's.
+    """
+    rng = np.random.default_rng(16)
+    counts = {}
+    for d in range(2, 33):
+        rows = _key_rows(d)
+        counts[d] = len(rows.roots)
+        _, comp_roots, comp_index = _state(d)
+        n = comp_index.shape[0]
+        roots = list(zip(*(c.tolist() for c in _unpack(d, comp_roots))))
+        comp_class = [locate_class(d, _triple(d, *r)) for r in roots]
+        by_class: dict[int, list[int]] = {}
+        for comp, ci in enumerate(comp_class):
+            by_class.setdefault(ci, []).append(comp)
+        split = [[_triple(d, *roots[comp]).to_text() for comp in comps]
+                 for comps in by_class.values() if len(comps) > 1]
+        assert split == ([list(SPLIT_AT_24)] if d == 24 else []), d
+        assert sorted(by_class) == list(range(counts[d])), d
+        comps = [by_class[ci] for ci in range(counts[d])]
+        assert [roots[c[0]] for c in comps] == rows.roots, d
+        sizes = np.bincount(comp_index)
+        assert [int(sizes[c].sum()) for c in comps] == rows.sizes, d
+        states = np.arange(n) if d <= 8 else rng.integers(n, size=200)
+        for i, c1, c2 in zip(states.tolist(), *(c.tolist() for c in _unpack(d, states))):
+            assert locate_class(d, _triple(d, c1, c2)) == comp_class[comp_index[i]], (d, i)
     assert counts == TRIPLE_COUNTS
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_row_key_matches_the_relation_lattice(d: int) -> None:
+    """In each divisor row, (d/g, 0) and (a0, m) span the brute-force K.
+
+    K = {(a, b) in Z_d^2 : a*(0, g) + b*v2 = 0 mod d} is enumerated for
+    every code v2; omega is det[(0, g) v2].
+    """
+    x, z = np.divmod(np.arange(d * d), d)
+    a, b = (col[:, None] for col in np.divmod(np.arange(d * d), d))
+    for g in range(1, d):
+        if d % g:
+            continue
+        a0, m, omega = _row_key(d, g, x, z)
+        brute = (b * x % d == 0) & ((a * g + b * z) % d == 0)
+        spanned = (b % m == 0) & ((a - b // m * a0) % (d // g) == 0)
+        assert (brute == spanned).all(), (d, g)
+        assert (omega == (0 * z - g * x) % d).all(), (d, g)
+
+
+@pytest.mark.parametrize("dropped", [None, *range(1, 6)])
+def test_key_ablations_change_counts(dropped: int | None, monkeypatch) -> None:
+    """Dropping omega (None), or one non-identity ordering, changes some count.
+
+    So neither the commutation phase nor any of the five relabellings is
+    idle in the key at d <= 32.
+    """
+    if dropped is None:
+        row_key = classify._row_key
+        monkeypatch.setattr(classify, "_row_key",
+                            lambda d, g, x, z: (*row_key(d, g, x, z)[:2], 0 * x))
+    else:
+        kept = [M for i, M in enumerate(classify._RELABELLINGS) if i != dropped]
+        monkeypatch.setattr(classify, "_RELABELLINGS", tuple(kept))
+    _key_rows.cache_clear()
+    try:
+        counts = {d: len(_key_rows(d).roots) for d in range(2, 33)}
+    finally:
+        _key_rows.cache_clear()
+    assert counts != TRIPLE_COUNTS
+
+
+def test_triple_classes_build_no_graph(monkeypatch) -> None:
+    """Classes, locate_class and family_breakdown read the key rows alone."""
+    monkeypatch.setattr(classify, "_moves", _no_graph)
+    monkeypatch.setattr(classify, "_STATE", {})
+    for d in (9, 24, 25, 32):
+        rep = enumerate_triples(d)
+        assert rep.count == TRIPLE_COUNTS[d]
+        assert locate_class(d, rep.classes[-1].representative) == rep.count - 1
+    family_breakdown(25)
+    assert classify._STATE == {}
+
+
+def test_d24_merge_has_a_dense_intertwiner() -> None:
+    """{I, Z^2, X^2} and {I, Z^2, X^10} are LU equivalent at d = 24.
+
+    Dense matrices only.  The matching Z^2 -> X^10, X^2 -> Z^2 keeps the
+    relation lattice 12 Z^2 and the commutation phase, so the group
+    average V = sum over a, b < 2d of N1^a N2^b X (M1^a M2^b)^-1 of a
+    random X intertwines M_i with N_i, and so does its polar part U.
+    """
+    d = 24
+    M1, M2, N1, N2 = (build_gpm_matrix(Gpm(d, s, t)) for s, t in ((0, 2), (2, 0), (10, 0), (0, 2)))
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    V = np.zeros((d, d), dtype=complex)
+    Na = Ma = np.eye(d)
+    for _ in range(2 * d):
+        Nab, Mab = Na, Ma
+        for _ in range(2 * d):
+            V += Nab @ X @ Mab.conj().T
+            Nab, Mab = Nab @ N2, Mab @ M2
+        Na, Ma = Na @ N1, Ma @ M1
+    W, _, Vh = np.linalg.svd(V)
+    U = W @ Vh
+    assert np.abs(U @ U.conj().T - np.eye(d)).max() < 1e-12
+    for M, N in ((M1, N1), (M2, N2)):
+        assert np.abs(U @ M @ U.conj().T - N).max() < 1e-12
 
 
 def _reference_pack(d: int, c1, c2):
@@ -316,12 +436,12 @@ def test_moves_match_the_reference_numbering(d: int) -> None:
         assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst), label
 
 
-def test_offset_table_is_built_once_per_dimension() -> None:
-    """Many lookups at one d build its offset table once."""
-    classify._offsets.cache_clear()
+def test_key_rows_are_built_once_per_dimension() -> None:
+    """Many lookups at one d build its key rows once."""
+    classify._key_rows.cache_clear()
     for S in (s("0,0;0,1;1,0", 25), s("0,0;0,5;5,0", 25), s("0,0;1,1;2,3", 25)) * 20:
         locate_class(25, S)
-    assert classify._offsets.cache_info().misses == 1
+    assert classify._key_rows.cache_info().misses == 1
 
 
 def _ablation(d: int, dropped: str, count: int):
@@ -528,7 +648,7 @@ def _largest_member_by_class(d: int) -> dict[int, GpmSet]:
     return {ci: S for ci, (_, S) in last.items()}
 
 
-def _assert_triple_witnesses_replay(d: int) -> None:
+def _assert_triple_witnesses_replay(d: int) -> Classification:
     rep = enumerate_triples(d, emit_witnesses=True)
     starters = _largest_member_by_class(d)
     for ci, c in enumerate(rep.classes):
@@ -537,11 +657,23 @@ def _assert_triple_witnesses_replay(d: int) -> None:
         assert not [label for label in c.witness if label.startswith("W(") and ",0," in label]
         landed = apply_trace(starters[ci], c.witness).normalized()
         assert landed.to_text() == c.representative.to_text()
+    return rep
 
 
 @pytest.mark.parametrize("d", [4, 8, 9, 16, 25, 27, 32])
 def test_triple_witnesses_replay(d: int) -> None:
     _assert_triple_witnesses_replay(d)
+
+
+def test_d24_witnesses_replay_across_the_split_class() -> None:
+    """At d = 24 the moves leave one class in two components.
+
+    The class's largest triple lies in its root's component, so every
+    witness still replays, and a note names the class.
+    """
+    rep = _assert_triple_witnesses_replay(24)
+    ci = [c.representative.to_text() for c in rep.classes].index(SPLIT_AT_24[0])
+    assert rep.notes == [f"move graph splits class {ci + 1} into 2 components"]
 
 
 def test_pair_witnesses_replay() -> None:
