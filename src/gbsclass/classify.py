@@ -322,13 +322,13 @@ def _components(n: int, moves: list[Arrows]) -> np.ndarray:
 
 
 def _classes(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class roots in ascending order, and each state's int32 class index."""
+    """Component roots in ascending order, and each state's int32 component index."""
     is_root = roots == np.arange(roots.shape[0])
     return np.flatnonzero(is_root), (np.cumsum(is_root, dtype=np.int32) - 1)[roots]
 
 
 def _last_states(inverse: np.ndarray, count: int) -> np.ndarray:
-    """The largest state index in each class."""
+    """The largest state index in each component."""
     last = np.zeros(count, dtype=np.int64)
     np.maximum.at(last, inverse, np.arange(inverse.shape[0]))
     return last
