@@ -12,18 +12,19 @@ section 2.3).  SL(2, Z_d) keeps the ordered key and carries v1 to
 :func:`_key_rows`, v1 = (0, g) with v2 free, where K has a closed form.
 Each class is rooted at its least triple, which lies in such a row.
 
-The state graph serves witnesses only.  :func:`_pack` and
-:func:`_unpack` number the universe of normalized triples as states, by
-the ``triu`` rank of the codes x*d + z of v1 and v2.  The move list of
-:func:`gbsclass.moves.enumerator_moves` is evaluated on the whole
-universe at once: P and R, which generate every determinant-one exponent
-map mod d, PIVOT(1), and at prime powers W(s, t, 1) for every sublattice
-with t >= 1 and the split rule.  A move is stored as its arrows only, the
-int32 pairs (state, image) with image != state, and a guarded move is
-evaluated on the states inside its guard alone.  Connected components
-come from min-label hooking with pointer jumping over all arrows at
-once; each is mapped onto its key class, and a note names any class the
-moves leave split.
+Witnesses come from a graph on the divisor rows, :func:`_row_moves`.
+Its nodes are the row triples {identity, (0, g), v2}, about tau(d)*d*d of
+them.  The move list of :func:`gbsclass.moves.enumerator_moves` is
+evaluated on every node at once: P and R, which generate every
+determinant-one exponent map mod d, PIVOT(1), and at prime powers
+W(s, t, 1) for every sublattice with t >= 1 and the split rule.  Each
+image is carried back into a divisor row by :func:`_carry_arrays`, and a
+move is stored as its arrows only, the int32 pairs (node, image node)
+with image node != node.  Connected components come from min-label
+hooking with pointer jumping over all arrows at once; each is mapped onto
+its key class, and a note names any class the moves leave split.  A
+witness spells each step as its move, then the carry's word in P, R and
+V (:func:`_carry_word`).
 
 The classes are labeled with exact invariants.  At p^alpha with
 alpha >= 2, equal-invariant classes are separated, where possible, by the
@@ -58,11 +59,11 @@ from .residues import BRACKET, DOUBLE, bracket_partition, factorize, prime_power
 
 MAX_STATES = 12 * 10**6
 """Most states an enumeration may have: C(d*d - 1, 2) for triples, d*d
-for pairs.  Only triples with witnesses build the states, at about 90
-bytes a state in peak RSS above the import (85 to 92 measured at d = 32,
-49 and 64), so the cap is about 1.1 GB: it admits d = 64 (8.4e6 states)
-and refuses d = 81 (2.2e7).  Pairs, and triples without witnesses, build
-none but keep the cap as their contract."""
+for pairs.  It admits triples at d = 64 (8.4e6 states) and refuses
+d = 81 (2.2e7).  No path builds the states: triples take their classes
+from the key rows and their witnesses from the row graph, about
+tau(d)*d*d nodes, and pairs from the divisors of d.  The cap stays as
+the contract of what an enumeration accepts."""
 
 SEP_INVARIANT = "INVARIANT"
 SEP_THEOREM1 = "THEOREM1"
@@ -192,52 +193,12 @@ def formula_for(d: int, mode: str) -> CountFormula | None:
 
 
 # ---------------------------------------------------------------------------
-# Numbered universes and vectorized moves.
+# Move arrows and their components.
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _offsets(d: int) -> np.ndarray:
-    """The row offsets of the state numbering: off[c1] = state(c1, c2) - c2.
-
-    States are the ``triu`` ranks of the two codes 0 < c1 < c2 < d*d:
-    row c1 holds the d*d - 1 - c1 states with that least code, in order
-    of c2.  Only the witness graph numbers states: :func:`_moves` and
-    the class roots and components it maps.  One int32 entry per code,
-    which holds every state while the count stays under MAX_STATES;
-    read-only, since it is cached.
-    """
-    n = d * d - 1
-    off = np.zeros(d * d, dtype=np.int32)
-    np.cumsum(np.arange(n - 1, 0, -1), out=off[2:])
-    off -= np.arange(1, d * d + 1, dtype=np.int32)
-    off.flags.writeable = False
-    return off
-
-
-def _pack(d: int, c1, c2):
-    """The state of a triple, from the codes x*d + z of its two other members.
-
-    One gather in the table of :func:`_offsets`; codes are ints or int
-    arrays, and int32 codes give int32 states.  It numbers the images of
-    :func:`_moves` and the class roots the witness BFS starts from.
-    """
-    return _offsets(d)[np.minimum(c1, c2)] + np.maximum(c1, c2)
-
-
-def _unpack(d: int, states: np.ndarray) -> list[np.ndarray]:
-    """The inverse of :func:`_pack`: per state, the codes of its members.
-
-    The row of a state is found among the int32 row starts state(c1, c1 + 1).
-    """
-    off = _offsets(d)
-    starts = off[1:-1] + np.arange(2, d * d, dtype=np.int32)
-    c1 = np.searchsorted(starts, states, side="right")
-    return [c1, states - off[c1]]
-
-
 def _array_tables(d: int) -> Tables | None:
-    """The move tables at d as numpy arrays, for a whole universe at once."""
+    """The move tables at d as numpy arrays, for many sets at once."""
     tab = tables(d)
     if tab is None:
         return None
@@ -248,7 +209,7 @@ def _array_tables(d: int) -> Tables | None:
 Arrows = tuple[str, np.ndarray, np.ndarray]
 """One move as (label, src, dst): its non-fixed arrows, int32, src != dst.
 
-A move is a function on the states, so it has one arrow per source, and
+A move is a function on the nodes, so it has one arrow per source, and
 the sources are ascending; :func:`_walk` relies on both."""
 
 
@@ -258,43 +219,8 @@ def _arrows(label: str, src: np.ndarray, dst: np.ndarray) -> Arrows:
     return label, src.astype(np.int32, copy=False), dst.astype(np.int32, copy=False)
 
 
-def _restrict(members: list, keep: np.ndarray) -> list:
-    """The identity, then the other members at the states keep selects."""
-    return [members[0], *((a[keep], b[keep]) for a, b in members[1:])]
-
-
-def _moves(d: int) -> list[Arrows]:
-    """Every move as arrows; a guarded move is evaluated on its states only.
-
-    The codes of every state are read off the rows of :func:`_offsets`,
-    and each image set is numbered by :func:`_pack`, all in int32.  A
-    guard is evaluated on the states inside the guard its move names as
-    ``within``, whose states and members are kept for that reason.
-    """
-    n = d * d - 1
-    states = np.arange(math.comb(n, 2), dtype=np.int32)
-    c1 = np.repeat(np.arange(1, n, dtype=np.int32), np.arange(n - 1, 0, -1))
-    c2 = states - _offsets(d)[c1]
-    universe = [(0, 0), np.divmod(c1, d), np.divmod(c2, d)]
-    del c1, c2
-    inside: dict[str, tuple[np.ndarray, list]] = {}
-
-    def arrows(mv: Move) -> Arrows:
-        if mv.guard is None:
-            src, members = states, universe
-        else:
-            base, base_members = inside.get(mv.within, (states, universe))
-            keep = np.flatnonzero(mv.guard(base_members))
-            src, members = base[keep], _restrict(base_members, keep)
-            inside[mv.label] = src, members
-        _, *images = mv.image(members)
-        return _arrows(mv.label, src, _pack(d, *((a % d) * d + (b % d) for a, b in images)))
-
-    return [arrows(mv) for mv in enumerator_moves(d, _array_tables(d))]
-
-
 def _components(n: int, moves: list[Arrows]) -> np.ndarray:
-    """Connected components; each state's root is its component's least index.
+    """Connected components; each node's root is its component's least index.
 
     Min-label hooking with pointer jumping (Shiloach and Vishkin,
     J. Algorithms 3, 1982).  Every root is the least index of its tree, so
@@ -322,31 +248,9 @@ def _components(n: int, moves: list[Arrows]) -> np.ndarray:
 
 
 def _classes(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Component roots in ascending order, and each state's int32 component index."""
+    """Component roots in ascending order, and each node's int32 component index."""
     is_root = roots == np.arange(roots.shape[0])
     return np.flatnonzero(is_root), (np.cumsum(is_root, dtype=np.int32) - 1)[roots]
-
-
-def _last_states(inverse: np.ndarray, count: int) -> np.ndarray:
-    """The largest state index in each component."""
-    last = np.zeros(count, dtype=np.int64)
-    np.maximum.at(last, inverse, np.arange(inverse.shape[0]))
-    return last
-
-
-_STATE: dict[int, tuple] = {}
-
-
-def _state(d: int) -> tuple[list[Arrows], np.ndarray, np.ndarray]:
-    """Moves, component roots and component index of the triples at d.
-
-    Only the witness path builds it, and only the latest d is kept.
-    """
-    if d not in _STATE:
-        _STATE.clear()
-        moves = _moves(d)
-        _STATE[d] = (moves, *_classes(_components(math.comb(d * d - 1, 2), moves)))
-    return _STATE[d]
 
 
 def _divisors(d: int) -> list[tuple[int, int]]:
@@ -442,19 +346,64 @@ def _carry(d: int, v1: tuple[int, int], v2: tuple[int, int]) -> tuple[int, int]:
     (x, z) -> (x, z - q*x) and the rotation (x, z) -> (z, -x), carries
     v1 to (0, +-G) with G = gcd(x1, z1); the same steps act on v2.  The
     quotient q is rounded to nearest, so each step at least halves |x|.
-    As (0, G) = (d, G) mod d, a second pass from (d, G) reaches
-    (0, +-g) with g = gcd(x1, z1, d), and a sign flip -(v1, v2), which
-    has determinant one too, makes it (0, g).
+    Unless G divides d, a second pass from (d, G), which is (0, G) mod d,
+    reaches (0, +-g) with g = gcd(x1, z1, d).  A sign flip -(v1, v2),
+    which has determinant one too, makes it (0, g).  So v1 = (0, g) with
+    g | d is left in place.
     """
     (x1, z1), (x2, z2) = v1, v2
-    for _ in range(2):
+    while True:
         while x1:
             q = (2 * z1 + x1) // (2 * x1)
             x1, z1, x2, z2 = z1 - q * x1, -x1, z2 - q * x2, -x2
+        if d % z1 == 0:
+            break
         x1 = d
     if z1 < 0:
         z1, x2, z2 = -z1, -x2, -z2
     return z1, x2 % d * d + z2 % d
+
+
+def _carry_arrays(d: int, v1: tuple, v2: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_carry` of many (v1, v2) at once, from int arrays of their coordinates.
+
+    Each Euclid step acts on the entries whose x1 is not yet 0.
+    """
+    x1, z1, x2, z2 = (np.array(c, dtype=np.int64) for c in (*v1, *v2))
+    while True:
+        while (on := np.flatnonzero(x1)).size:
+            a, b = x1[on], z1[on]
+            q = (2 * b + a) // (2 * a)
+            x1[on], z1[on] = b - q * a, -a
+            x2[on], z2[on] = z2[on] - q * x2[on], -x2[on]
+        again = d % z1 != 0
+        if not again.any():
+            break
+        x1[again] = d
+    flip = np.where(z1 < 0, -1, 1)
+    return z1 * flip, (x2 * flip) % d * d + (z2 * flip) % d
+
+
+def _carry_word(d: int, v1: tuple[int, int]) -> list[str]:
+    """The moves of :func:`_carry`'s map of v1, as labels that replay it.
+
+    A shear by -q mod d is P k times, k = -q mod d, or R R R, V d - k
+    times, R, whichever is shorter; the rotation (x, z) -> (z, -x) is
+    R R R, and the sign flip R R.
+    """
+    x1, z1 = v1
+    word: list[str] = []
+    while True:
+        while x1:
+            q = (2 * z1 + x1) // (2 * x1)
+            k = -q % d
+            word += ["P"] * k if k <= d - k + 4 else ["R", "R", "R", *["V"] * (d - k), "R"]
+            word += ["R", "R", "R"]
+            x1, z1 = z1 - q * x1, -x1
+        if d % z1 == 0:
+            break
+        x1 = d
+    return word + ["R", "R"] if z1 < 0 else word
 
 
 class KeyRows(NamedTuple):
@@ -476,10 +425,11 @@ def _key_rows(d: int) -> KeyRows:
     """The triple classes at d from the key of every triple in a divisor row.
 
     Row g < d holds the triples {identity, (0, g), v2} for every code v2,
-    with their ordered keys packed into one int each.  Each distinct
-    ordered key is made canonical once: each ordering of a triple that
-    has it is carried into its own divisor row, and the least packed key
-    found there is the key.  A class's root is its first triple in
+    with their ordered keys packed into one int each.  The distinct
+    ordered keys are merged from the distinct keys of each row, and each
+    is made canonical once: each ordering of the first triple that has it
+    is carried into its own divisor row, and the least packed key found
+    there is the key.  A class's root is its first triple in
     ascending (g, c2 > g) order, which is its least triple.  Each v1 of
     gcd g is carried to (0, g) by J_2(d/g) maps of SL(2, Z_d), so the
     orbit size of a class is half the sum over rows of J_2(d/g) times its
@@ -493,10 +443,14 @@ def _key_rows(d: int) -> KeyRows:
         a0, m, omega = _row_key(d, g, x, z)
         packed[g] = ((d // g * base + a0) * base + m) * base + omega
         packed[g][[0, g]] = -1  # v2 = 0 or v2 = v1 is no triple
-    ordered, first, inverse = np.unique(
-        np.concatenate(list(packed.values())), return_index=True, return_inverse=True)
+    # one row at a time: the first code of each key in each row, then the
+    # first row of each key, in ascending (g, c2) order
+    per_row = [np.unique(packed[g], return_index=True) for g, _ in rows]
+    ordered, first = np.unique(np.concatenate([keys for keys, _ in per_row]), return_index=True)
+    first = np.concatenate([codes + r * d * d for r, (_, codes) in enumerate(per_row)])[first]
+    del per_row
     canonical: dict[int, int] = {}
-    label = np.full(ordered.size, -1, dtype=np.int64)
+    label = np.full(ordered.size, -1, dtype=np.int32)
     for i, at in enumerate(first.tolist()):
         if ordered[i] < 0:
             continue
@@ -505,11 +459,11 @@ def _key_rows(d: int) -> KeyRows:
             _carry(d, (b1 * x2, a1 * g + b1 * z2), (b2 * x2, a2 * g + b2 * z2))
             for (a1, b1), (a2, b2) in _RELABELLINGS))
         label[i] = canonical.setdefault(least, len(canonical))
-    labels = label[inverse].reshape(len(rows), d * d)
+    labels = [label[np.searchsorted(ordered, packed.pop(g))] for g, _ in rows]
 
     root_of: dict[int, tuple[int, int]] = {}
     for r, (g, _) in enumerate(rows):
-        found, at = np.unique(labels[r, g + 1:], return_index=True)
+        found, at = np.unique(labels[r][g + 1:], return_index=True)
         for lab, c2 in zip(found.tolist(), (at + g + 1).tolist()):
             root_of.setdefault(lab, (g, c2))
     order = sorted(root_of, key=root_of.get)
@@ -538,18 +492,18 @@ def _locate(d: int, v1: tuple[int, int], v2: tuple[int, int]) -> int:
 
 
 def _distances(n: int, moves: list[Arrows], rep_states: np.ndarray) -> np.ndarray:
-    """Per state: BFS distance along the arrows to its class representative.
+    """Per node: BFS distance along the arrows to its class representative.
 
     The distance is -1 where no representative is reachable.  The BFS
     indexes the arrows once: each becomes one int64 key holding its image
-    and source in bit fields, and the sorted keys list every state's
+    and source in bit fields, and the sorted keys list every node's
     in-arrows, from the CSR offsets that one ``np.searchsorted`` of each
     image's least key finds.  A level gathers the in-arrows of the
     frontier and gives the next level to the sources not yet visited, so
     each arrow is read in one level only.
     """
     dist = np.full(n, -1, dtype=np.int32)
-    # the two fields take at most 48 bits while n <= MAX_STATES
+    # the two fields take at most 62 bits while n <= 2**31, as int32 nodes need
     src_bits = max(n - 1, 1).bit_length()
     key = np.empty(sum(src.shape[0] for _, src, _ in moves), dtype=np.int64)
     end = 0
@@ -581,9 +535,9 @@ def _walk(moves: list[Arrows], dist: np.ndarray, starts: np.ndarray) -> list[lis
     """The witness from each start to its representative, None if unreachable.
 
     All starts walk at once.  Each step takes the least-index move whose
-    arrow from the current state lands one level nearer, so every
+    arrow from the current node lands one level nearer, so every
     witness is fixed by the move order.  A move's sources are ascending,
-    so ``np.searchsorted`` finds its arrow from a state, if any.
+    so ``np.searchsorted`` finds its arrow from a node, if any.
     """
     words: list[list[str] | None] = [[] if dist[s] >= 0 else None for s in starts.tolist()]
     cur = starts.astype(np.int64)
@@ -606,28 +560,77 @@ def _walk(moves: list[Arrows], dist: np.ndarray, starts: np.ndarray) -> list[lis
     return words
 
 
-def _triple_witnesses(
-    d: int, roots: list[tuple[int, int]]
-) -> tuple[list[list[str] | None], list[str]]:
-    """Each triple class's witness on the state graph, and a note per split class.
+def _row_moves(d: int) -> list[Arrows]:
+    """Every enumerator move as arrows on the row triples.
 
-    The components of :func:`_state` are mapped onto the key classes by
-    the class of their roots.  The BFS runs from the class roots, and
-    each class's walk starts at its largest state, the largest of its
-    components' largest states.  Where the moves leave a class in k > 1
-    components, only the states in its root's component reach the root.
+    Node r*d*d + c2 is the triple {identity, (0, g), v2} of the r-th
+    divisor row g < d, in the order of :func:`_key_rows`, with v2 of code
+    c2; the codes 0 and g hold no triple and no arrow.  A move is
+    evaluated on the node's members in sorted order, as
+    :meth:`gbsclass.moves.Move.apply` does, on the nodes inside its guard;
+    the first member of the sorted image is carried to (0, g') by
+    :func:`_carry_arrays`, and the arrow lands on the node (g', c2') the
+    carry gives.  So each move gives at most one arrow per node.  A node
+    whose first member is (0, g) is its own carry, so an arrow that lands
+    on the triple of a class root, whose v2 sorts after (0, g), lands on
+    the root's node.
     """
-    moves, comp_roots, comp_index = _state(d)
-    comp_class = np.array([_locate(d, divmod(c1, d), divmod(c2, d))
-                           for c1, c2 in zip(*(c.tolist() for c in _unpack(d, comp_roots)))],
-                          dtype=np.int32)
-    C = len(roots)
+    gs = np.array([g for g, _ in _divisors(d) if g < d])
+    row_of = np.zeros(d + 1, dtype=np.int64)
+    row_of[gs] = np.arange(gs.size)
+    node = np.arange(gs.size * d * d)
+    g, c2 = gs[node // (d * d)], node % (d * d)
+    node, g, c2 = (a[(c2 != 0) & (c2 != g)] for a in (node, g, c2))
+    first = c2 < g  # v2 sorts before (0, g)
+    members = [(0, 0), (np.where(first, c2 // d, 0), np.where(first, c2 % d, g)),
+               (np.where(first, 0, c2 // d), np.where(first, g, c2 % d))]
+    arrows = []
+    for mv in enumerator_moves(d, _array_tables(d)):
+        _, ca, cb = ((x % d) * d + z % d for x, z in mv.image(members))
+        keep = slice(None) if mv.guard is None else mv.guard(members)
+        lo, hi = np.minimum(ca, cb)[keep], np.maximum(ca, cb)[keep]
+        g2, c2_2 = _carry_arrays(d, np.divmod(lo, d), np.divmod(hi, d))
+        arrows.append(_arrows(mv.label, node[keep], row_of[g2] * d * d + c2_2))
+    return arrows
+
+
+def _spell(d: int, moves: dict[str, Move], g: int, c2: int, labels: list[str]) -> list[str]:
+    """The word that replays a walk from node (g, c2): each move, then its carry."""
+    word: list[str] = []
+    for label in labels:
+        _, v1, v2 = moves[label].apply(GpmSet(d, ((0, 0), (0, g), divmod(c2, d)))).members
+        word += [label, *_carry_word(d, v1)]
+        g, c2 = _carry(d, v1, v2)
+    return word
+
+
+def _triple_witnesses(d: int, rows: KeyRows) -> tuple[list[list[str] | None], list[str]]:
+    """Each triple class's witness on the row graph, and a note per split class.
+
+    The nodes and arrows are those of :func:`_row_moves`; each node has
+    the key class of its triple.  The BFS runs from the class roots, and
+    each class's walk starts at its last row triple in ascending (g, c2)
+    order.  Each step is the walk's move, then the carry's word in P, R
+    and V.  Where the moves leave a class in k > 1 components, only the
+    nodes in its root's component reach the root.
+    """
+    moves = _row_moves(d)
+    klass = np.concatenate(list(rows.index.values()))
+    node = np.flatnonzero(klass >= 0)
+    C = len(rows.roots)
     starts = np.zeros(C, dtype=np.int64)
-    np.maximum.at(starts, comp_class, _last_states(comp_index, comp_roots.size))
-    dist = _distances(comp_index.shape[0], moves, _pack(d, *np.array(roots).T))
+    np.maximum.at(starts, klass[node], node)
+    comp_class = klass[_classes(_components(klass.size, moves))[0]]
     notes = [f"move graph splits class {ci + 1} into {k} components"
-             for ci, k in enumerate(np.bincount(comp_class, minlength=C).tolist()) if k > 1]
-    return _walk(moves, dist, starts), notes
+             for ci, k in enumerate(np.bincount(comp_class[comp_class >= 0], minlength=C).tolist())
+             if k > 1]
+    gs = list(rows.index)
+    dist = _distances(klass.size, moves,
+                      np.array([gs.index(g) * d * d + c2 for g, c2 in rows.roots]))
+    walks = _walk(moves, dist, starts)
+    by_label = {mv.label: mv for mv in enumerator_moves(d, tables(d))}
+    return [None if w is None else _spell(d, by_label, gs[s // (d * d)], s % (d * d), w)
+            for s, w in zip(starts.tolist(), walks)], notes
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +841,11 @@ def _classify(
     """Classify every normalized pair or triple at dimension d.
 
     Pairs take their classes and witnesses from the divisors of d, with
-    no state graph: P and R generate SL(2, Z_d), which carries v to
+    no move graph: P and R generate SL(2, Z_d), which carries v to
     (0, gcd(v, d)), and J_2(d/g) vectors have gcd g.  Triples take their
     classes from the key rows of :func:`_key_rows`; only their witnesses
-    build the graph of :func:`_state`, after the caps and the probes are
-    checked.
+    build the row graph of :func:`_row_moves`, after the caps and the
+    probes are checked.
     """
     _check_dim(d, mode, enum_cap)
     for a in (*(i3_probes or ()), *(power_probes or ())):
@@ -895,7 +898,7 @@ def _classify(
     if emit_witnesses and mode == "pairs":
         witnesses = [_pair_witness(d, r or d) for r in class_roots.tolist()]
     elif emit_witnesses:
-        witnesses, split = _triple_witnesses(d, codes)
+        witnesses, split = _triple_witnesses(d, rows)
         notes.update(split)
         for ci, w in enumerate(witnesses):
             if w is None:

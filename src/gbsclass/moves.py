@@ -27,8 +27,8 @@ stay available to witness replay and to the tests.
 A move is an exponent map plus its guard.  Both are written once, with
 arithmetic that gives the same result on plain ints and on numpy arrays:
 ``+ - * %``, comparisons, ``&`` and lookups in the per-dimension
-:class:`Tables`.  The enumerator in :mod:`gbsclass.classify` evaluates
-:func:`enumerator_moves` on a whole universe of sets at once; a witness
+:class:`Tables`.  The witness graph in :mod:`gbsclass.classify` evaluates
+:func:`enumerator_moves` on every triple of the divisor rows at once; a witness
 is replayed by :func:`parse_move` / :func:`apply_trace`, which evaluate
 the same map and guard on one set's ints.  Labels look like "P", "Q(5)",
 "PIVOT(2)", "W(1,1,2)" and "RULE(x3-split)".
@@ -37,7 +37,7 @@ the same map and guard on one set's ints.  Labels look like "P", "Q(5)",
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from numbers import Integral
@@ -56,11 +56,11 @@ class GuardFailed(ValueError):
 
 
 Members = list
-"""A set's members as (x, z) pairs, each an int or an int array over a
-universe of sets; a normalized set has the identity (0, 0) first."""
+"""A set's members as (x, z) pairs, each an int or an int array over
+many sets; a normalized set has the identity (0, 0) first."""
 
 Guard = Callable[[Members], Any]
-"""Whether a move applies: a bool, or a bool array over a universe."""
+"""Whether a move applies: a bool, or a bool array over many sets."""
 
 
 @dataclass(frozen=True)
@@ -98,17 +98,13 @@ class Move:
 
     ``image`` maps a set's members to their images, and returns the
     identity first whenever the identity comes first.  ``guard``, when
-    set, selects the sets the move applies to.  ``within``, when set, is
-    the label of an earlier enumerator move whose guard holds wherever
-    this one's does, so the enumerator evaluates this guard only on the
-    sets inside that one; replay ignores it.
+    set, selects the sets the move applies to.
     """
 
     label: str
     d: int
     image: Callable[[Members], Members]
     guard: Guard | None = None
-    within: str | None = None
 
     def apply(self, S: GpmSet) -> GpmSet:
         """The image of S, whose members are read in sorted order."""
@@ -151,7 +147,7 @@ def _pivot(d: int, j: int) -> Move:
     """PIVOT(j): translate every member by the inverse of member j."""
 
     def image(ms: Members) -> Members:
-        # the member count is the same for every set of a universe
+        # the member count is the same for every set of an array of sets
         if j >= len(ms):
             raise GuardFailed(f"PIVOT({j}) needs a member {j}")
         xj, zj = ms[j]
@@ -210,17 +206,12 @@ def enumerator_moves(d: int, tab: Tables | None = None) -> list[Move]:
     W(s, 0, k), which is the Clifford Q(u^-1) on its lattice.  Adding
     PIVOT(2) or any W(s, t, k) leaves the partition unchanged at every
     d <= 32 and at d = 49 and 64.  The order fixes which move each witness
-    step takes.  The lattice of (s, t) lies inside those of (s, t - 1)
-    and (s - 1, t), which come earlier, so each W names one of them as
-    ``within``.
+    step takes.
     """
     moves = [_linear(label, d, _LINEAR[label]) for label in ("P", "R")]
     moves.append(_pivot(d, 1))
     if tab is not None:
-        for s in range(1, tab.alpha):
-            for t in range(1, tab.alpha - s):
-                within = f"W({s},{t - 1},1)" if t > 1 else f"W({s - 1},1,1)" if s > 1 else None
-                moves.append(replace(_w(d, tab, s, t, 1), within=within))
+        moves += [_w(d, tab, s, t, 1) for s in range(1, tab.alpha) for t in range(1, tab.alpha - s)]
         moves.append(_split(d, tab))
     return moves
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,19 +19,17 @@ from gbsclass.classify import (
     DimensionTooLarge,
     OutOfDomain,
     CountFormula,
-    _STATE,
     _array_tables,
+    _carry,
+    _carry_arrays,
+    _classes,
     _components,
     _distances,
     _divisor_classes,
     _expectation,
     _key_rows,
-    _last_states,
-    _moves,
-    _pack,
     _row_key,
-    _state,
-    _unpack,
+    _row_moves,
     _walk,
     enumerate_pairs,
     enumerate_triples,
@@ -42,11 +39,19 @@ from gbsclass.classify import (
     locate_class,
     sign_flip_feasibility,
 )
-from gbsclass.moves import PreconditionViolated, apply_trace, enumerator_moves, parse_move
+from gbsclass.moves import (
+    GuardFailed,
+    PreconditionViolated,
+    apply_trace,
+    enumerator_moves,
+    parse_move,
+    tables,
+)
 from gbsclass.oracle import build_gpm_matrix
 from gbsclass.pauli import Gpm, GpmSet
 
 from pair_graph import pair_graph
+from triple_graph import last_states, pack, triple_graph, triple_moves, unpack
 
 
 def s(text: str, d: int) -> GpmSet:
@@ -192,12 +197,10 @@ def _no_graph(d: int) -> None:
 
 def test_divisor_classes_match_the_state_graph(monkeypatch) -> None:
     """Divisor roots and J_2 sizes are the graph's classes; no graph is built."""
-    monkeypatch.setattr(classify, "_moves", _no_graph)
+    monkeypatch.setattr(classify, "_row_moves", _no_graph)
     for d in PAIR_GRAPH_DIMS:
-        before = set(_STATE)
         for witnesses in (False, True):
             enumerate_pairs(d, witnesses)
-            assert set(_STATE) == before, (d, witnesses)
         roots, sizes = _divisor_classes(d)
         assert sum(sizes) == d * d, d
         _, class_roots, inverse = pair_graph(d)
@@ -213,7 +216,7 @@ def test_pair_witnesses_match_the_state_graph() -> None:
     for d in PAIR_GRAPH_DIMS:
         moves, class_roots, inverse = pair_graph(d)
         dist = _distances(d * d, moves, class_roots)
-        want = _walk(moves, dist, _last_states(inverse, class_roots.size))
+        want = _walk(moves, dist, last_states(inverse, class_roots.size))
         got = [c.witness for c in enumerate_pairs(d, emit_witnesses=True).classes]
         assert got == want, d
 
@@ -262,9 +265,9 @@ def test_triple_class_counts_every_dimension() -> None:
     for d in range(2, 33):
         rows = _key_rows(d)
         counts[d] = len(rows.roots)
-        _, comp_roots, comp_index = _state(d)
+        _, comp_roots, comp_index = triple_graph(d)
         n = comp_index.shape[0]
-        roots = list(zip(*(c.tolist() for c in _unpack(d, comp_roots))))
+        roots = list(zip(*(c.tolist() for c in unpack(d, comp_roots))))
         comp_class = [locate_class(d, _triple(d, *r)) for r in roots]
         by_class: dict[int, list[int]] = {}
         for comp, ci in enumerate(comp_class):
@@ -278,7 +281,7 @@ def test_triple_class_counts_every_dimension() -> None:
         sizes = np.bincount(comp_index)
         assert [int(sizes[c].sum()) for c in comps] == rows.sizes, d
         states = np.arange(n) if d <= 8 else rng.integers(n, size=200)
-        for i, c1, c2 in zip(states.tolist(), *(c.tolist() for c in _unpack(d, states))):
+        for i, c1, c2 in zip(states.tolist(), *(c.tolist() for c in unpack(d, states))):
             assert locate_class(d, _triple(d, c1, c2)) == comp_class[comp_index[i]], (d, i)
     assert counts == TRIPLE_COUNTS
 
@@ -326,14 +329,12 @@ def test_key_ablations_change_counts(dropped: int | None, monkeypatch) -> None:
 
 def test_triple_classes_build_no_graph(monkeypatch) -> None:
     """Classes, locate_class and family_breakdown read the key rows alone."""
-    monkeypatch.setattr(classify, "_moves", _no_graph)
-    monkeypatch.setattr(classify, "_STATE", {})
+    monkeypatch.setattr(classify, "_row_moves", _no_graph)
     for d in (9, 24, 25, 32):
         rep = enumerate_triples(d)
         assert rep.count == TRIPLE_COUNTS[d]
         assert locate_class(d, rep.classes[-1].representative) == rep.count - 1
     family_breakdown(25)
-    assert classify._STATE == {}
 
 
 def test_d24_merge_has_a_dense_intertwiner() -> None:
@@ -385,16 +386,13 @@ def _reference_moves(d: int) -> list:
     """The enumerator's arrows, with every state numbered by the references."""
     states = np.arange(math.comb(d * d - 1, 2))
     universe = [(0, 0), *((c // d, c % d) for c in _reference_unpack(d, states))]
-    inside: dict = {}
     arrows = []
     for mv in enumerator_moves(d, _array_tables(d)):
         src, members = states, universe
         if mv.guard is not None:
-            src, members = inside.get(mv.within, (states, universe))
             keep = np.flatnonzero(mv.guard(members))
             src = src[keep]
             members = [members[0], *((a[keep], b[keep]) for a, b in members[1:])]
-            inside[mv.label] = src, members
         _, (x1, z1), (x2, z2) = mv.image(members)
         dst = _reference_pack(d, (x1 % d) * d + z1 % d, (x2 % d) * d + z2 % d)
         arrows.append((mv.label, src[dst != src], dst[dst != src]))
@@ -411,12 +409,12 @@ def test_state_numbering(d: int) -> None:
     rows, cols = np.triu_indices(d * d - 1, k=1)
     states = np.arange(rows.size)
     assert (_reference_pack(d, rows + 1, cols + 1) == states).all()
-    M1, M2 = _unpack(d, states)
+    M1, M2 = unpack(d, states)
     assert (M1 == rows + 1).all() and (M2 == cols + 1).all()
     for R, N in zip(_reference_unpack(d, states), (M1, M2)):
         assert (R == N).all()
     c1, c2 = M1.astype(np.int32), M2.astype(np.int32)
-    for packed in (_pack(d, c1, c2), _pack(d, c2, c1)):
+    for packed in (pack(d, c1, c2), pack(d, c2, c1)):
         assert packed.dtype == np.int32
         assert (packed == states).all()
 
@@ -428,7 +426,7 @@ def test_moves_match_the_reference_numbering(d: int) -> None:
     Every move's arrows are int32, with ascending sources, which
     :func:`_walk` relies on.
     """
-    got, want = _moves(d), _reference_moves(d)
+    got, want = triple_moves(d), _reference_moves(d)
     assert [label for label, _, _ in got] == [label for label, _, _ in want]
     for (label, src, dst), (_, ref_src, ref_dst) in zip(got, want):
         assert src.dtype == dst.dtype == np.int32, label
@@ -470,7 +468,7 @@ def test_minimal_move_set(d: int, dropped: str, count: int) -> None:
     the rule, whose soundness is shown only through invariant
     preservation.
     """
-    moves, class_roots, inverse = _state(d)
+    moves, class_roots, inverse = triple_graph(d)
     kept = [mv for mv in moves if mv[0] != dropped]
     assert len(kept) == len(moves) - 1
     roots = _components(inverse.shape[0], kept)
@@ -486,7 +484,7 @@ def test_w_moves_needed_jointly() -> None:
     ``tools/merge_counts.py 32`` shows, but without all four two classes
     stay apart.
     """
-    moves, class_roots, inverse = _state(32)
+    moves, class_roots, inverse = triple_graph(32)
     kept = [mv for mv in moves if not mv[0].startswith("W(") or mv[0] in ("W(1,1,1)", "W(2,2,1)")]
     assert len(kept) == len(moves) - 4
     roots = _components(inverse.shape[0], kept)
@@ -518,8 +516,8 @@ def test_move_arrows_replay_label_by_label() -> None:
     rng = np.random.default_rng(20261018)
     for d in (8, 9, 16, 25, 27, 32):
         sample = None if d < 16 else rng
-        moves, _, inverse = _state(d)
-        M1, M2 = _unpack(d, np.arange(inverse.shape[0]))
+        moves, _, inverse = triple_graph(d)
+        M1, M2 = unpack(d, np.arange(inverse.shape[0]))
 
         def triple(i: int) -> GpmSet:
             return GpmSet(d, ((0, 0), divmod(int(M1[i]), d), divmod(int(M2[i]), d)))
@@ -635,22 +633,24 @@ def test_family_breakdown_domain() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _largest_member_by_class(d: int) -> dict[int, GpmSet]:
-    """Lexicographically last normalized triple of every class."""
-    vecs = [(x, z) for x in range(d) for z in range(d) if (x, z) != (0, 0)]
-    last: dict[int, tuple] = {}
-    for v1, v2 in combinations(vecs, 2):
-        S = GpmSet(d, ((0, 0), v1, v2))
-        ci = locate_class(d, S)
-        key = tuple(sorted((v1, v2)))
-        if ci not in last or key > last[ci][0]:
-            last[ci] = (key, S)
-    return {ci: S for ci, (_, S) in last.items()}
+def _last_row_triple_by_class(d: int, enum_cap: int) -> dict[int, GpmSet]:
+    """Last row triple {I, (0, g), v2} of every class, in ascending (g, code v2) order."""
+    last: dict[int, GpmSet] = {}
+    for g in range(1, d):
+        if d % g:
+            continue
+        for c2 in range(d * d):
+            if c2 in (0, g):
+                continue
+            S = GpmSet(d, ((0, 0), (0, g), divmod(c2, d))).normalized()
+            last[locate_class(d, S, enum_cap)] = S
+    return last
 
 
-def _assert_triple_witnesses_replay(d: int) -> Classification:
-    rep = enumerate_triples(d, emit_witnesses=True)
-    starters = _largest_member_by_class(d)
+def _assert_triple_witnesses_replay(d: int, enum_cap: int = 32) -> Classification:
+    rep = enumerate_triples(d, emit_witnesses=True, enum_cap=enum_cap)
+    starters = _last_row_triple_by_class(d, enum_cap)
+    assert not [n for n in rep.notes if "no witness path" in n]
     for ci, c in enumerate(rep.classes):
         assert c.witness is not None
         # W(s, 0, k) is a Clifford move, which the enumerator leaves out
@@ -665,15 +665,71 @@ def test_triple_witnesses_replay(d: int) -> None:
     _assert_triple_witnesses_replay(d)
 
 
+def test_triple_witnesses_replay_at_every_dimension() -> None:
+    """Every witness replays at every d <= 32, and at 36, 48, 49 and 64.
+
+    The split notes are those of the state graph: one class at d = 24
+    and 36, eight at d = 48.
+    """
+    for d in (*range(2, 33), 36, 48, 49, 64):
+        rep = _assert_triple_witnesses_replay(d, enum_cap=64)
+        splits = [n for n in rep.notes if n.startswith("move graph splits")]
+        assert len(splits) == {24: 1, 36: 1, 48: 8}.get(d, 0), d
+
+
 def test_d24_witnesses_replay_across_the_split_class() -> None:
     """At d = 24 the moves leave one class in two components.
 
-    The class's largest triple lies in its root's component, so every
+    The class's last row triple lies in its root's component, so every
     witness still replays, and a note names the class.
     """
     rep = _assert_triple_witnesses_replay(24)
     ci = [c.representative.to_text() for c in rep.classes].index(SPLIT_AT_24[0])
     assert rep.notes == [f"move graph splits class {ci + 1} into 2 components"]
+
+
+def test_row_graph_components_match_the_state_graph() -> None:
+    """Per key class, the row graph has as many components as the state graph.
+
+    d = 24 is the one dimension up to 32 where a class has two.
+    """
+    for d in range(2, 33):
+        klass = np.concatenate(list(_key_rows(d).index.values()))  # -1: no triple
+        comp_class = klass[_classes(_components(klass.size, _row_moves(d)))[0]]
+        got = np.bincount(comp_class[comp_class >= 0], minlength=TRIPLE_COUNTS[d])
+        _, comp_roots, _ = triple_graph(d)
+        want = np.bincount([locate_class(d, _triple(d, *map(int, r)))
+                            for r in zip(*unpack(d, comp_roots))], minlength=TRIPLE_COUNTS[d])
+        assert got.tolist() == want.tolist(), d
+        assert (got > 1).sum() == (d == 24), d
+
+
+def test_row_graph_arrows_replay_move_and_carry() -> None:
+    """Each arrow is Move.apply on the node's triple, then _carry of its first member.
+
+    The vectorized carry equals :func:`_carry` on every arrow's input,
+    fixed arrows included, at every d <= 32.
+    """
+    for d in range(2, 33):
+        gs = [g for g in range(1, d) if d % g == 0]
+        nodes = [(r * d * d + c2, g, c2) for r, g in enumerate(gs)
+                 for c2 in range(d * d) if c2 not in (0, g)]
+        for (label, src, dst), mv in zip(_row_moves(d), enumerator_moves(d, tables(d))):
+            assert label == mv.label
+            inputs, want = [], {}
+            for node, g, c2 in nodes:
+                try:
+                    _, v1, v2 = mv.apply(GpmSet(d, ((0, 0), (0, g), divmod(c2, d)))).members
+                except GuardFailed:
+                    continue
+                g2, c2_2 = _carry(d, v1, v2)
+                inputs.append((v1, v2, g2, c2_2))
+                if gs.index(g2) * d * d + c2_2 != node:
+                    want[node] = gs.index(g2) * d * d + c2_2
+            assert dict(zip(src.tolist(), dst.tolist())) == want, (d, label)
+            x1, z1, x2, z2 = (np.array(c) for c in zip(*((*v1, *v2) for v1, v2, _, _ in inputs)))
+            got = _carry_arrays(d, (x1, z1), (x2, z2))
+            assert [a.tolist() for a in got] == [list(c) for c in zip(*(i[2:] for i in inputs))]
 
 
 def test_pair_witnesses_replay() -> None:

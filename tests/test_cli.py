@@ -14,7 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 import gbsclass
-from gbsclass.classify import _STATE, MAX_STATES
+from gbsclass import classify
+from gbsclass.classify import MAX_STATES
 from gbsclass.cli import main
 from gbsclass.config import Config, parse_config
 from gbsclass.pauli import MAX_I2_ENTRIES, GpmSet, invariant_vector
@@ -302,20 +303,26 @@ def test_config_probe_out_of_range_is_usage_error(tmp_path) -> None:
 
 
 def test_config_probe_is_refused_before_enumerating(tmp_path, monkeypatch) -> None:
-    """A bad config probe exits 2 before any state of the enumeration is built."""
-    monkeypatch.delitem(_STATE, 32, raising=False)
+    """A bad config probe exits 2 before the key rows or the row graph are built."""
+
+    def built(d: int) -> None:
+        raise AssertionError(f"built at d={d}")
+
+    monkeypatch.setattr(classify, "_row_moves", built)
+    classify._key_rows.cache_clear()
     cfg = tmp_path / "gbs.cfg"
     cfg.write_text("i3_a = 50\n")
-    tracemalloc.start()
-    try:
-        res = run("triples", "--dim", "32", env={"GBSCLASS_CONFIG": str(cfg)})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.exit_code == 2, res.output
-    assert "probe must satisfy 0 < a < 32, got 50" in res.output
-    assert 32 not in _STATE
-    assert peak < 2**20, peak
+    for witnesses in ((), ("--emit-witnesses",)):
+        tracemalloc.start()
+        try:
+            res = run("triples", "--dim", "32", *witnesses, env={"GBSCLASS_CONFIG": str(cfg)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 2, res.output
+        assert "probe must satisfy 0 < a < 32, got 50" in res.output
+        assert classify._key_rows.cache_info().currsize == 0
+        assert peak < 2**20, peak
 
 
 def test_config_errors_are_usage_errors(tmp_path) -> None:

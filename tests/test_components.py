@@ -7,8 +7,8 @@ of every move at every level and records per state the first arrow into
 the previous level (``nxt``) and its move index (``lab``): the distances
 must be equal, and the word walked from every state must be the one the
 scan's ``nxt`` and ``lab`` spell.  The walk's binary search needs each
-move's sources in ascending order, which is checked on the enumerator's
-moves and on the test-side pair graph.
+move's sources in ascending order, which is checked on the row graph the
+witnesses walk and on the test-side triple and pair graphs.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import random
 import numpy as np
 import pytest
 
-from gbsclass.classify import _components, _distances, _state, _walk
+from gbsclass.classify import _components, _distances, _row_moves, _walk
 
 from pair_graph import pair_graph
+from triple_graph import triple_graph
 
 
 def _reference_roots(n: int, edges: list[tuple[int, int]]) -> list[int]:
@@ -174,7 +175,7 @@ def test_witness_tables_edge_cases() -> None:
 
 @pytest.mark.parametrize("d", [8, 9, 16, 25])
 def test_witness_tables_triples(d: int) -> None:
-    moves, roots, inverse = _state(d)
+    moves, roots, inverse = triple_graph(d)
     _check_witness_tables(inverse.shape[0], moves, roots)
 
 
@@ -188,6 +189,7 @@ def test_witness_tables_pairs(d: int) -> None:
 def test_move_sources_ascending(d: int) -> None:
     """Each move has one arrow per source, in ascending order, which
     :func:`_walk` relies on to find an arrow by binary search."""
-    for graph, moves in (("triples", _state(d)[0]), ("pairs", pair_graph(d)[0])):
+    for graph, moves in (("rows", _row_moves(d)), ("triples", triple_graph(d)[0]),
+                         ("pairs", pair_graph(d)[0])):
         for label, src, _ in moves:
             assert np.all(np.diff(src) > 0), (graph, d, label)

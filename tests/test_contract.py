@@ -20,17 +20,17 @@ from gbsclass.cli import main
 
 CONTRACT = {
     ("triples", 8, False): "3f9caa81b117320ee0c1d2e0c8fb14cf5eafd53b22f1785790d13b38cf626b92",
-    ("triples", 8, True): "a71c9f1862735f17422923c09d3b5043ab7f014e2b09e3096c40a2587e7f449a",
+    ("triples", 8, True): "7aad647481636bc4989f172f9774756e669a02de2c81f24c8c4e16f6f80dceaf",
     ("triples", 9, False): "28fdbc838f6da3d106c9e0897e5e672cb9d82c79b8f43b1a8224c19d2d0bac25",
-    ("triples", 9, True): "9270797dfed257b0b56df6ef98a53778739790094e4752af0ec63b9aca948dfa",
+    ("triples", 9, True): "c16e4aef788a0eebb62e8294cafc2d67aa051dc959a81c8ac41c774a862192f5",
     ("triples", 12, False): "120bb477e50a1d47fe5a8c76488fa36130b239e0d017c770ee891e6dc47018ee",
-    ("triples", 12, True): "6519e0f26735299601ea32bdb4fe564f530cb1bffdada7cf28190cbee6db0b3c",
+    ("triples", 12, True): "4dcc46fc24278b5fcd8f5f22050a9260450abd39aeba1762884b81b96095be54",
     ("triples", 16, False): "c08ccd84063f9acda89441dc3ad2752c192b43bdd381b6a5b13fbc94ce5dee5f",
-    ("triples", 16, True): "f5971b002e725c4eeabe319da1bc79d76b2e372bec5d812436ad0f8964b3dce6",
+    ("triples", 16, True): "184a499ed2417bb96d3c851f83291a5b378db1e1763b447a1efe475cc1b55e8e",
     ("triples", 25, False): "8fe3d296d819fa776251b55883a8a3e69d7702998c5657c55570e1ebf6f73bf3",
-    ("triples", 25, True): "f319d47587a72ae12f34329e98cd6ed810cfc4aca60a46bfb159ace220738b90",
+    ("triples", 25, True): "9b7ab58fef24aab60a1e251d3ed7acde29866b6068a731a05306411d271fc340",
     ("triples", 27, False): "c4a6459a79fdf74129d023f2bb6a58910f1d73de86a5691086bdc74f70006f97",
-    ("triples", 27, True): "1411ba50f43f0520c662ffbcd302f3c9995178b143979f0a2bc793a65710e093",
+    ("triples", 27, True): "74d17cc4c8bb36fd2aa5f37057e57f12c0cad1238064ce40ce53b158898bd88b",
     ("pairs", 2, True): "4d49d20021840e344839f34dcf74e57633de39a964cec80c65be68f3419c9baa",
     ("pairs", 12, False): "916775217bbcd705648204c3ffb7eb35b3a392bf4e062e8f3cf0537bc19989f4",
     ("pairs", 12, True): "3d06a3b1a50c5165b90f5a86ded2e31bea9162ea5c5576cad47aefdb7b14ed48",

@@ -8,7 +8,6 @@ from itertools import combinations
 
 import pytest
 
-from gbsclass.classify import _state
 from gbsclass.moves import (
     GuardFailed,
     Move,
@@ -21,6 +20,8 @@ from gbsclass.moves import (
 )
 from gbsclass.pauli import GpmSet, invariant_vector
 from gbsclass.residues import prime_power
+
+from triple_graph import triple_graph
 
 
 def s(text: str, d: int) -> GpmSet:
@@ -203,7 +204,7 @@ def test_rule_catalog_availability() -> None:
         pa = prime_power(d)
         if pa is None or pa[1] == 1:
             continue
-        moves = _state(d)[0]
+        moves = triple_graph(d)[0]
         emitted = [label for label, _, _ in moves if label.startswith("RULE(")]
         assert [m.label for m in rule_catalog(d)] == emitted == ["RULE(x3-split)"], d
     assert rule_catalog(7) == []
