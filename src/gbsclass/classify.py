@@ -443,12 +443,11 @@ def _key_rows(d: int) -> KeyRows:
         a0, m, omega = _row_key(d, g, x, z)
         packed[g] = ((d // g * base + a0) * base + m) * base + omega
         packed[g][[0, g]] = -1  # v2 = 0 or v2 = v1 is no triple
-    # one row at a time: the first code of each key in each row, then the
-    # first row of each key, in ascending (g, c2) order
+    # the first code of each key in each row, then the first row of each
+    # key: its first triple in ascending (g, c2) order, one row at a time
     per_row = [np.unique(packed[g], return_index=True) for g, _ in rows]
     ordered, first = np.unique(np.concatenate([keys for keys, _ in per_row]), return_index=True)
     first = np.concatenate([codes + r * d * d for r, (_, codes) in enumerate(per_row)])[first]
-    del per_row
     canonical: dict[int, int] = {}
     label = np.full(ordered.size, -1, dtype=np.int32)
     for i, at in enumerate(first.tolist()):
