@@ -10,7 +10,9 @@ it is complete (Serre, Linear Representations of Finite Groups, 1977,
 section 2.3).  SL(2, Z_d) keeps the ordered key and carries v1 to
 (0, gcd(v1, d)), so every class shows up in a divisor row of
 :func:`_key_rows`, v1 = (0, g) with v2 free, where K has a closed form.
-Each class is rooted at its least triple, which lies in such a row.
+:func:`_ordered_key` packs the ordered keys of many pairs at once, at any
+d; one vectorized minimum over the six orderings makes those of the rows
+canonical.  Each class is rooted at its least triple, in such a row.
 
 Witnesses come from a graph on the divisor rows, :func:`_row_moves`.
 Its nodes are the row triples {identity, (0, g), v2}, about tau(d)*d*d of
@@ -24,7 +26,7 @@ with image node != node.  Connected components come from min-label
 hooking with pointer jumping over all arrows at once; each is mapped onto
 its key class, and a note names any class the moves leave split.  A
 witness spells each step as its move, then the carry's word in P, R and
-V (:func:`_carry_word`).
+V that :func:`_carry` spells along with it.
 
 The classes are labeled with exact invariants.  At p^alpha with
 alpha >= 2, equal-invariant classes are separated, where possible, by the
@@ -283,7 +285,8 @@ def _divisor_classes(d: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _pair_witness(d: int, g: int) -> list[str]:
-    """The witness of divisor g's pair class: the word the graph's BFS takes.
+    """The witness of divisor g's pair class: the word the BFS takes on the
+    reference pair graph of ``tests/pair_graph.py``.
 
     The start, the largest code of the class, is -(g, g); R, P, R carry
     it to (g, -g), then (g, 0), then the root (0, g).  In units of g with
@@ -327,20 +330,22 @@ _RELABELLINGS = (
 )
 
 
-def _row_key(d: int, g: int, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ordered key of ((0, g), (x, z)) per code, less its h = d/g: (a0, m, omega).
+def _row_key(d: int, g: int | np.ndarray, x: np.ndarray, z: np.ndarray) -> tuple:
+    """The ordered key of ((0, g), (x, z)) per entry, less its h = d/g: (a0, m, omega).
 
     K has the basis (h, 0), (a0, m).  a*(0, g) + b*(x, z) = 0 mod d needs
-    b*x = 0 mod d and b*z = 0 mod g, so b runs over the multiples of
-    m = lcm(d / gcd(x, d), g / gcd(z, g)); b = 0 leaves a in h*Z, and
+    b*x = 0 and b*h*z = 0 mod d, so b runs over the multiples of the order
+    m = d / gcd(x, h*z, d) of (x, h*z) mod d; b = 0 leaves a in h*Z, and
     b = m fixes a = -(m*z/g) mod h.  omega = det[(0, g) (x, z)] = -g*x.
+    gcd(x, d) is read from a table, so x must lie in [0, d).
     """
-    m = np.lcm(d // np.gcd(x, d), g // np.gcd(z, g))
-    return -(m * z // g) % (d // g), m, -g * x % d
+    h = d // g
+    m = d // np.gcd(np.gcd(np.arange(d), d)[x], h * z)
+    return -(m * z // g) % h, m, -g * x % d
 
 
-def _carry(d: int, v1: tuple[int, int], v2: tuple[int, int]) -> tuple[int, int]:
-    """(g, c2): a map of SL(2, Z_d) takes v1 != 0 to (0, g) and v2 to code c2.
+def _carry(d: int, v1: tuple[int, int], v2: tuple[int, int]) -> tuple[int, int, list[str]]:
+    """(g, c2, word): a map of SL(2, Z_d) takes v1 != 0 to (0, g) and v2 to code c2.
 
     Euclid's algorithm on v1 by integer determinant-one steps, the shear
     (x, z) -> (x, z - q*x) and the rotation (x, z) -> (z, -x), carries
@@ -349,27 +354,35 @@ def _carry(d: int, v1: tuple[int, int], v2: tuple[int, int]) -> tuple[int, int]:
     Unless G divides d, a second pass from (d, G), which is (0, G) mod d,
     reaches (0, +-g) with g = gcd(x1, z1, d).  A sign flip -(v1, v2),
     which has determinant one too, makes it (0, g).  So v1 = (0, g) with
-    g | d is left in place.
+    g | d is left in place.  The word's labels replay the map: a shear by
+    -q mod d is P k times, k = -q mod d, or R R R, V d - k times, R,
+    whichever is shorter; the rotation is R R R, and the sign flip R R.
     """
     (x1, z1), (x2, z2) = v1, v2
+    word: list[str] = []
     while True:
         while x1:
             q = (2 * z1 + x1) // (2 * x1)
+            k = -q % d
+            word += ["P"] * k if k <= d - k + 4 else ["R", "R", "R", *["V"] * (d - k), "R"]
+            word += ["R", "R", "R"]
             x1, z1, x2, z2 = z1 - q * x1, -x1, z2 - q * x2, -x2
         if d % z1 == 0:
             break
         x1 = d
     if z1 < 0:
         z1, x2, z2 = -z1, -x2, -z2
-    return z1, x2 % d * d + z2 % d
+        word += ["R", "R"]
+    return z1, x2 % d * d + z2 % d, word
 
 
 def _carry_arrays(d: int, v1: tuple, v2: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_carry` of many (v1, v2) at once, from int arrays of their coordinates.
+    """(g, c2) of :func:`_carry` for many (v1, v2) at once, from their coordinates.
 
-    Each Euclid step acts on the entries whose x1 is not yet 0.
+    The coordinates are int arrays, or scalars that broadcast against
+    them.  Each Euclid step acts on the entries whose x1 is not yet 0.
     """
-    x1, z1, x2, z2 = (np.array(c, dtype=np.int64) for c in (*v1, *v2))
+    x1, z1, x2, z2 = (np.array(c, dtype=np.int64) for c in np.broadcast_arrays(*v1, *v2))
     while True:
         while (on := np.flatnonzero(x1)).size:
             a, b = x1[on], z1[on]
@@ -380,39 +393,32 @@ def _carry_arrays(d: int, v1: tuple, v2: tuple) -> tuple[np.ndarray, np.ndarray]
         if not again.any():
             break
         x1[again] = d
-    flip = np.where(z1 < 0, -1, 1)
-    return z1 * flip, (x2 * flip) % d * d + (z2 * flip) % d
+    flip = np.flatnonzero(z1 < 0)
+    z1[flip], x2[flip], z2[flip] = -z1[flip], -x2[flip], -z2[flip]
+    return z1, x2 % d * d + z2 % d
 
 
-def _carry_word(d: int, v1: tuple[int, int]) -> list[str]:
-    """The moves of :func:`_carry`'s map of v1, as labels that replay it.
+def _ordered_key(d: int, v1: tuple, v2: tuple) -> np.ndarray:
+    """The ordered key of each (v1, v2), v1 != 0, packed into one int.
 
-    A shear by -q mod d is P k times, k = -q mod d, or R R R, V d - k
-    times, R, whichever is shorter; the rotation (x, z) -> (z, -x) is
-    R R R, and the sign flip R R.
+    Coordinates are as for :func:`_carry_arrays`, whose carry keeps the
+    key; (d/g, a0, m, omega) of the carried pair is packed in base d + 1,
+    so packed keys compare as the tuples do.
     """
-    x1, z1 = v1
-    word: list[str] = []
-    while True:
-        while x1:
-            q = (2 * z1 + x1) // (2 * x1)
-            k = -q % d
-            word += ["P"] * k if k <= d - k + 4 else ["R", "R", "R", *["V"] * (d - k), "R"]
-            word += ["R", "R", "R"]
-            x1, z1 = z1 - q * x1, -x1
-        if d % z1 == 0:
-            break
-        x1 = d
-    return word + ["R", "R"] if z1 < 0 else word
+    g, c2 = _carry_arrays(d, v1, v2)
+    a0, m, omega = _row_key(d, g, *np.divmod(c2, d))
+    base = d + 1
+    return ((d // g * base + a0) * base + m) * base + omega
 
 
 class KeyRows(NamedTuple):
     """The triple classes at d, read off the divisor rows.
 
-    ``roots`` holds the codes (g, c2) of each class's least triple
-    {identity, (0, g), v2}, in ascending order; ``sizes`` the orbit
-    sizes; ``index[g]`` the int32 class index of each code v2 in row g,
-    -1 where v2 is 0 or (0, g).
+    A class holds the triples of one key, the least :func:`_ordered_key`
+    over ``_RELABELLINGS``, taken for all ordered keys at once.  ``roots``
+    holds the codes (g, c2) of each class's least triple {identity, (0, g),
+    v2}, in ascending order; ``sizes`` the orbit sizes; ``index[g]`` the
+    int32 class index of each code v2 in row g, -1 where v2 is 0 or (0, g).
     """
 
     roots: list[tuple[int, int]]
@@ -425,64 +431,50 @@ def _key_rows(d: int) -> KeyRows:
     """The triple classes at d from the key of every triple in a divisor row.
 
     Row g < d holds the triples {identity, (0, g), v2} for every code v2,
-    with their ordered keys packed into one int each.  The distinct
-    ordered keys are merged from the distinct keys of each row, and each
-    is made canonical once: each ordering of the first triple that has it
-    is carried into its own divisor row, and the least packed key found
-    there is the key.  A class's root is its first triple in
-    ascending (g, c2 > g) order, which is its least triple.  Each v1 of
-    gcd g is carried to (0, g) by J_2(d/g) maps of SL(2, Z_d), so the
-    orbit size of a class is half the sum over rows of J_2(d/g) times its
-    count in row g.  Read-only, since it is cached.
+    with their :func:`_ordered_key`.  Each row's distinct ordered keys are
+    made canonical in one vectorized step: the key is the least ordered
+    key over the six orderings of the first triple that has it.  One
+    ``np.unique`` over all rows numbers the keys.  A class's root is its
+    first triple in ascending (g, c2 > g) order, which is its least triple.
+    Each v1 of gcd g is carried to (0, g) by J_2(d/g) maps of SL(2, Z_d),
+    so the orbit size of a class is half the sum over rows of J_2(d/g)
+    times its count in row g.  Read-only, since it is cached.
     """
     rows = [(g, j) for g, j in _divisors(d) if g < d]
     x, z = np.divmod(np.arange(d * d), d)
-    base = d + 1
-    packed: dict[int, np.ndarray] = {}
+    least, labels = [], []  # per row: each ordered key's key; each code's ordered key
     for g, _ in rows:
-        a0, m, omega = _row_key(d, g, x, z)
-        packed[g] = ((d // g * base + a0) * base + m) * base + omega
-        packed[g][[0, g]] = -1  # v2 = 0 or v2 = v1 is no triple
-    # the first code of each key in each row, then the first row of each
-    # key: its first triple in ascending (g, c2) order, one row at a time
-    per_row = [np.unique(packed[g], return_index=True) for g, _ in rows]
-    ordered, first = np.unique(np.concatenate([keys for keys, _ in per_row]), return_index=True)
-    first = np.concatenate([codes + r * d * d for r, (_, codes) in enumerate(per_row)])[first]
-    canonical: dict[int, int] = {}
-    label = np.full(ordered.size, -1, dtype=np.int32)
-    for i, at in enumerate(first.tolist()):
-        if ordered[i] < 0:
-            continue
-        g, (x2, z2) = rows[at // (d * d)][0], divmod(at % (d * d), d)
-        least = min(int(packed[h][c]) for h, c in (
-            _carry(d, (b1 * x2, a1 * g + b1 * z2), (b2 * x2, a2 * g + b2 * z2))
-            for (a1, b1), (a2, b2) in _RELABELLINGS))
-        label[i] = canonical.setdefault(least, len(canonical))
-    labels = [label[np.searchsorted(ordered, packed.pop(g))] for g, _ in rows]
+        packed = _ordered_key(d, (0, g), (x, z))
+        packed[[0, g]] = -1  # v2 = 0 or v2 = v1 is no triple
+        ordered, first = np.unique(packed, return_index=True)
+        x2, z2 = np.divmod(first[1:], d)  # ordered[0] is the -1 of no triple
+        least.append(np.min([
+            _ordered_key(d, (b1 * x2, a1 * g + b1 * z2), (b2 * x2, a2 * g + b2 * z2))
+            for (a1, b1), (a2, b2) in _RELABELLINGS], axis=0))
+        labels.append(np.searchsorted(ordered, packed).astype(np.int32))
+    canonical, label = np.unique(np.concatenate(least), return_inverse=True)
+    for keys, row in zip(np.split(label, np.cumsum([k.size for k in least])[:-1]), labels):
+        np.take(np.append(-1, keys), row, out=row)  # from ordered keys to labels
 
-    root_of: dict[int, tuple[int, int]] = {}
+    # each label's first code c2 > g in each row, d*d where it has none
+    first_c2 = np.full((len(rows), canonical.size), d * d)
     for r, (g, _) in enumerate(rows):
-        found, at = np.unique(labels[r][g + 1:], return_index=True)
-        for lab, c2 in zip(found.tolist(), (at + g + 1).tolist()):
-            root_of.setdefault(lab, (g, c2))
-    order = sorted(root_of, key=root_of.get)
-    klass = np.full(len(canonical), -1, dtype=np.int32)
-    klass[order] = np.arange(len(order), dtype=np.int32)
+        np.minimum.at(first_c2[r], labels[r][g + 1:], np.arange(g + 1, d * d))
+    root_row = np.argmax(first_c2 < d * d, axis=0)
+    root_code = first_c2[root_row, np.arange(canonical.size)]
+    order = np.lexsort((root_code, root_row))
+    klass = np.full(canonical.size + 1, -1, dtype=np.int32)  # klass[-1]: no triple
+    klass[order] = np.arange(order.size, dtype=np.int32)
 
     index: dict[int, np.ndarray] = {}
-    sizes = np.zeros(len(order), dtype=np.int64)
-    for r, (g, j) in enumerate(rows):
-        row = np.where(labels[r] < 0, -1, klass[labels[r]])
+    sizes = np.zeros(order.size, dtype=np.int64)
+    for (g, j), row in zip(rows, labels):
+        np.take(klass, row, out=row)
         row.flags.writeable = False
         index[g] = row
-        sizes += j * np.bincount(row[row >= 0], minlength=len(order))
-    return KeyRows([root_of[lab] for lab in order], (sizes // 2).tolist(), index)
-
-
-def _locate(d: int, v1: tuple[int, int], v2: tuple[int, int]) -> int:
-    """The class index of {identity, v1, v2}, v1 != 0, from its divisor row."""
-    g, c2 = _carry(d, v1, v2)
-    return int(_key_rows(d).index[g][c2])
+        sizes += j * np.bincount(row[row >= 0], minlength=order.size)
+    roots = zip(root_row[order].tolist(), root_code[order].tolist())
+    return KeyRows([(rows[r][0], c2) for r, c2 in roots], (sizes // 2).tolist(), index)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +590,8 @@ def _spell(d: int, moves: dict[str, Move], g: int, c2: int, labels: list[str]) -
     word: list[str] = []
     for label in labels:
         _, v1, v2 = moves[label].apply(GpmSet(d, ((0, 0), (0, g), divmod(c2, d)))).members
-        word += [label, *_carry_word(d, v1)]
-        g, c2 = _carry(d, v1, v2)
+        g, c2, carry = _carry(d, v1, v2)
+        word += [label, *carry]
     return word
 
 
@@ -965,7 +957,8 @@ def locate_class(d: int, S: GpmSet, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     m1, m2 = (x * d + z for x, z in members[1:])
     if not 0 < m1 < m2:
         raise ValueError(f"set {S.to_text()!r} is not a valid normalized triple")
-    return _locate(d, *members[1:])
+    g, c2, _ = _carry(d, *members[1:])
+    return int(_key_rows(d).index[g][c2])
 
 
 def family_breakdown(d: int, enum_cap: int = DEFAULT_ENUM_CAP) -> dict[str, list[int]]:

@@ -29,7 +29,7 @@ from .pauli import (
     gpm_trace,
     invariant_vector,
 )
-from .residues import count_quadratic_check, inv_mod, prime_power
+from .residues import count_quadratic_check, prime_power
 
 MATRIX_CAP = 64
 
@@ -98,7 +98,7 @@ def build_clifford(name: str, d: int, k: int | None = None) -> np.ndarray:
     if name == "Q":
         if k is None:
             raise ValueError("Q needs its scale parameter k")
-        ki = inv_mod(k, d)
+        ki = pow(k, -1, d)
         U = np.zeros((d, d), dtype=complex)
         U[(ki * j) % d, j] = 1.0
         return U
@@ -110,7 +110,7 @@ def q_word_matrix(d: int, k: int) -> np.ndarray:
     _check_cap(d)
     P = build_clifford("P", d)
     R = build_clifford("R", d)
-    ki = inv_mod(k, d)
+    ki = pow(k, -1, d)
     Pk = np.linalg.matrix_power(P, k % d)
     Pki = np.linalg.matrix_power(P, ki)
     return R @ Pki @ R @ Pk @ R @ Pki
@@ -363,7 +363,7 @@ def check_scaling_words(d: int, tol: float = TOL_PHASE) -> bool:
         if np.gcd(k, d) != 1:
             continue
         Q = build_clifford("Q", d, k)
-        ki = inv_mod(k, d)
+        ki = pow(k, -1, d)
         Xim = build_gpm_matrix(Gpm(d, ki, 0))
         Zim = build_gpm_matrix(Gpm(d, 0, k))
         ok, _ = verify_conjugation(Q, X, Xim, tol)

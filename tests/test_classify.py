@@ -28,6 +28,7 @@ from gbsclass.classify import (
     _divisor_classes,
     _expectation,
     _key_rows,
+    _ordered_key,
     _row_key,
     _row_moves,
     _walk,
@@ -303,6 +304,46 @@ def test_row_key_matches_the_relation_lattice(d: int) -> None:
         spanned = (b % m == 0) & ((a - b // m * a0) % (d // g) == 0)
         assert (brute == spanned).all(), (d, g)
         assert (omega == (0 * z - g * x) % d).all(), (d, g)
+
+
+def _same_partition(a: list, b: list) -> bool:
+    """Whether equal entries of a sit exactly where equal entries of b do."""
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_ordered_key_matches_the_relation_lattice(d: int) -> None:
+    """Packed ordered keys are equal exactly when (K, omega) are, on every pair.
+
+    K = {(a, b) in Z_d^2 : a*v1 + b*v2 = 0 mod d} is enumerated for every
+    v1 != 0 and every v2; omega is det[v1 v2].
+    """
+    v1, v2 = np.divmod(np.arange(1, d * d), d), np.divmod(np.arange(d * d), d)
+    (x1, z1), (x2, z2) = (np.repeat(c, d * d) for c in v1), (np.tile(c, d * d - 1) for c in v2)
+    keys = _ordered_key(d, (x1, z1), (x2, z2))
+    a, b = (col[None, :] for col in np.divmod(np.arange(d * d), d))
+    lattice = (((a * x1[:, None] + b * x2[:, None]) % d == 0)
+               & ((a * z1[:, None] + b * z2[:, None]) % d == 0))
+    omega = (x1 * z2 - z1 * x2) % d
+    brute = [bits.tobytes() + bytes([w]) for bits, w in zip(np.packbits(lattice, axis=1), omega)]
+    assert _same_partition(keys.tolist(), brute)
+
+
+def test_least_ordered_key_matches_locate_class() -> None:
+    """The least ordered key over the six orderings partitions triples as locate_class.
+
+    200 seeded triples {identity, v1, v2} at each d <= 32.
+    """
+    rng = np.random.default_rng(26)
+    for d in range(2, 33):
+        c1, c2 = rng.integers(1, d * d, size=(2, 200))
+        c1, c2 = c1[c1 != c2], c2[c1 != c2]
+        (x1, z1), (x2, z2) = np.divmod(c1, d), np.divmod(c2, d)
+        least = np.min([_ordered_key(d, (a1 * x1 + b1 * x2, a1 * z1 + b1 * z2),
+                                     (a2 * x1 + b2 * x2, a2 * z1 + b2 * z2))
+                        for (a1, b1), (a2, b2) in classify._RELABELLINGS], axis=0)
+        located = [locate_class(d, _triple(d, *c)) for c in zip(c1.tolist(), c2.tolist())]
+        assert _same_partition(least.tolist(), located), d
 
 
 @pytest.mark.parametrize("dropped", [None, *range(1, 6)])
@@ -722,7 +763,7 @@ def test_row_graph_arrows_replay_move_and_carry() -> None:
                     _, v1, v2 = mv.apply(GpmSet(d, ((0, 0), (0, g), divmod(c2, d)))).members
                 except GuardFailed:
                     continue
-                g2, c2_2 = _carry(d, v1, v2)
+                g2, c2_2, _ = _carry(d, v1, v2)
                 inputs.append((v1, v2, g2, c2_2))
                 if gs.index(g2) * d * d + c2_2 != node:
                     want[node] = gs.index(g2) * d * d + c2_2

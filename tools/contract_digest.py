@@ -19,7 +19,10 @@ format, ``pairs --dim 12`` with witnesses as JSON, and the refusals of
 dense-matrix suite: ``verify --prime-power 2 3``, ``verify --dim 6`` and
 the refusal of ``verify --dim 80`` (exit 3).  Each
 ``locate d sha256`` line covers ``locate_class(d, S)`` of every normalized
-triple S at d = 8, 9, 12 and 16, in sorted order.
+triple S at d = 8, 9, 12 and 16, in sorted order.  Each ``keys d sha256``
+line covers the key rows ``classify._key_rows(d)`` beyond the CLI caps,
+at d = 33..128, 256, 512 and 1024: the class roots, the orbit sizes and
+the bytes of every row's class index.  They take about 3 s together.
 
 Run it against two trees and diff the output to check that a change
 keeps the contract byte-identical:
@@ -57,6 +60,7 @@ CLI_COMMANDS = [
     ["verify", "--dim", "80"],
 ]
 LOCATE_DIMS = (8, 9, 12, 16)
+KEY_DIMS = (*range(33, 129), 256, 512, 1024)
 
 
 def sha(text: str) -> str:
@@ -82,6 +86,16 @@ def locate_text(d: int) -> str:
     )
 
 
+def key_rows_digest(d: int) -> str:
+    """sha256 of the key rows at d: roots, orbit sizes, and each row's index."""
+    rows = classify._key_rows(d)
+    digest = hashlib.sha256(f"{rows.roots!r}\n{rows.sizes!r}\n".encode())
+    for g, index in rows.index.items():
+        digest.update(f"{g}\n".encode() + index.tobytes())
+    classify._key_rows.cache_clear()
+    return digest.hexdigest()
+
+
 def main() -> None:
     run = {"triples": classify.enumerate_triples, "pairs": classify.enumerate_pairs}
     for mode, d in GRID:
@@ -101,6 +115,8 @@ def main() -> None:
         print("cli", " ".join(args), sha(f"{res.exit_code}\n{res.output}"), flush=True)
     for d in LOCATE_DIMS:
         print("locate", d, sha(locate_text(d)), flush=True)
+    for d in KEY_DIMS:
+        print("keys", d, key_rows_digest(d), flush=True)
 
 
 if __name__ == "__main__":
