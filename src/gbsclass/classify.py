@@ -55,7 +55,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .config import DEFAULT_ENUM_CAP
-from .moves import Move, PreconditionViolated, Tables, enumerator_moves, tables
+from .moves import PreconditionViolated, Tables, enumerator_moves, tables
 from .pauli import GpmSet, InvariantVector, check_probe, invariant_table, invariant_vector
 from .residues import BRACKET, DOUBLE, bracket_partition, factorize, prime_power
 
@@ -211,8 +211,7 @@ def _array_tables(d: int) -> Tables | None:
 Arrows = tuple[str, np.ndarray, np.ndarray]
 """One move as (label, src, dst): its non-fixed arrows, int32, src != dst.
 
-A move is a function on the nodes, so it has one arrow per source, and
-the sources are ascending; :func:`_walk` relies on both."""
+A move is a function on the nodes, so it has one arrow per source."""
 
 
 def _arrows(label: str, src: np.ndarray, dst: np.ndarray) -> Arrows:
@@ -482,73 +481,26 @@ def _key_rows(d: int) -> KeyRows:
 # ---------------------------------------------------------------------------
 
 
-def _distances(n: int, moves: list[Arrows], rep_states: np.ndarray) -> np.ndarray:
-    """Per node: BFS distance along the arrows to its class representative.
+def _levels(n: int, moves: list[Arrows], roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node: its distance along the arrows to a root, and its step's move.
 
-    The distance is -1 where no representative is reachable.  The BFS
-    indexes the arrows once: each becomes one int64 key holding its image
-    and source in bit fields, and the sorted keys list every node's
-    in-arrows, from the CSR offsets that one ``np.searchsorted`` of each
-    image's least key finds.  A level gathers the in-arrows of the
-    frontier and gives the next level to the sources not yet visited, so
-    each arrow is read in one level only.
+    ``dist`` is -1 where no root is reachable.  Each level takes the moves
+    in list order; each gives the next level and its own index to those of
+    its sources not yet reached whose image is on the level just finished.
+    So ``step[node]`` is the least-index move whose arrow from the node
+    lands one level nearer.
     """
     dist = np.full(n, -1, dtype=np.int32)
-    # the two fields take at most 62 bits while n <= 2**31, as int32 nodes need
-    src_bits = max(n - 1, 1).bit_length()
-    key = np.empty(sum(src.shape[0] for _, src, _ in moves), dtype=np.int64)
-    end = 0
-    for _, src, dst in moves:
-        k = key[end:end + src.shape[0]]
-        np.left_shift(dst, src_bits, out=k, dtype=np.int64)
-        k |= src
-        end += src.shape[0]
-    key.sort()
-    start = np.arange(n + 1, dtype=np.int64)
-    start <<= src_bits
-    start = np.searchsorted(key, start)
-    dist[rep_states] = 0
-    frontier = np.flatnonzero(dist == 0)
+    step = np.full(n, -1, dtype=np.int32)
+    dist[roots] = 0
     level = 0
-    while frontier.size:
-        first = start[frontier]
-        count = start[frontier + 1] - first
-        ends = np.cumsum(count)
-        arrows = key[np.repeat(first - ends + count, count) + np.arange(ends[-1])]
-        states = (arrows & ((1 << src_bits) - 1)).astype(np.int32)
-        level += 1
-        dist[states[dist[states] == -1]] = level
-        frontier = np.flatnonzero(dist == level)
-    return dist
-
-
-def _walk(moves: list[Arrows], dist: np.ndarray, starts: np.ndarray) -> list[list[str] | None]:
-    """The witness from each start to its representative, None if unreachable.
-
-    All starts walk at once.  Each step takes the least-index move whose
-    arrow from the current node lands one level nearer, so every
-    witness is fixed by the move order.  A move's sources are ascending,
-    so ``np.searchsorted`` finds its arrow from a node, if any.
-    """
-    words: list[list[str] | None] = [[] if dist[s] >= 0 else None for s in starts.tolist()]
-    cur = starts.astype(np.int64)
-    live = np.flatnonzero(dist[cur] > 0)
-    while live.size:
-        here = cur[live]
-        nearer = dist[here] - 1
-        step = np.empty(live.size, dtype=np.int64)
-        for li in reversed(range(len(moves))):  # the least index is written last
-            _, src, dst = moves[li]
-            if not src.size:
-                continue
-            pos = np.minimum(np.searchsorted(src, here), src.size - 1)
-            hit = (src[pos] == here) & (dist[dst[pos]] == nearer)
+    while (dist == level).any():
+        for li, (_, src, dst) in enumerate(moves):
+            hit = src[(dist[src] == -1) & (dist[dst] == level)]
+            dist[hit] = level + 1
             step[hit] = li
-            cur[live[hit]] = dst[pos[hit]]
-        for i, li in zip(live.tolist(), step.tolist()):
-            words[i].append(moves[li][0])
-        live = live[dist[cur[live]] > 0]
-    return words
+        level += 1
+    return dist, step
 
 
 def _row_moves(d: int) -> list[Arrows]:
@@ -585,25 +537,18 @@ def _row_moves(d: int) -> list[Arrows]:
     return arrows
 
 
-def _spell(d: int, moves: dict[str, Move], g: int, c2: int, labels: list[str]) -> list[str]:
-    """The word that replays a walk from node (g, c2): each move, then its carry."""
-    word: list[str] = []
-    for label in labels:
-        _, v1, v2 = moves[label].apply(GpmSet(d, ((0, 0), (0, g), divmod(c2, d)))).members
-        g, c2, carry = _carry(d, v1, v2)
-        word += [label, *carry]
-    return word
-
-
 def _triple_witnesses(d: int, rows: KeyRows) -> tuple[list[list[str] | None], list[str]]:
     """Each triple class's witness on the row graph, and a note per split class.
 
     The nodes and arrows are those of :func:`_row_moves`; each node has
-    the key class of its triple.  The BFS runs from the class roots, and
-    each class's walk starts at its last row triple in ascending (g, c2)
-    order.  Each step is the walk's move, then the carry's word in P, R
-    and V.  Where the moves leave a class in k > 1 components, only the
-    nodes in its root's component reach the root.
+    the key class of its triple.  :func:`_levels` scans them from the
+    class roots, and each class's walk starts at its last row triple in
+    ascending (g, c2) order.  Each step replays the node's step move on
+    its triple with :meth:`gbsclass.moves.Move.apply`; :func:`_carry`
+    takes the image to the next node and gives the carry's word in P, R
+    and V, which the witness holds after the move's label.  Where the
+    moves leave a class in k > 1 components, only the nodes in its root's
+    component reach the root.
     """
     moves = _row_moves(d)
     klass = np.concatenate(list(rows.index.values()))
@@ -616,12 +561,21 @@ def _triple_witnesses(d: int, rows: KeyRows) -> tuple[list[list[str] | None], li
              for ci, k in enumerate(np.bincount(comp_class[comp_class >= 0], minlength=C).tolist())
              if k > 1]
     gs = list(rows.index)
-    dist = _distances(klass.size, moves,
-                      np.array([gs.index(g) * d * d + c2 for g, c2 in rows.roots]))
-    walks = _walk(moves, dist, starts)
-    by_label = {mv.label: mv for mv in enumerator_moves(d, tables(d))}
-    return [None if w is None else _spell(d, by_label, gs[s // (d * d)], s % (d * d), w)
-            for s, w in zip(starts.tolist(), walks)], notes
+    dist, step = _levels(klass.size, moves,
+                         np.array([gs.index(g) * d * d + c2 for g, c2 in rows.roots]))
+    by_index = enumerator_moves(d, tables(d))
+    witnesses: list[list[str] | None] = []
+    for s in starts.tolist():
+        word = None if dist[s] < 0 else []
+        while dist[s] > 0:
+            mv = by_index[step[s]]
+            r, c2 = divmod(s, d * d)
+            _, v1, v2 = mv.apply(GpmSet(d, ((0, 0), (0, gs[r]), divmod(c2, d)))).members
+            g, c2, carry = _carry(d, v1, v2)
+            word += [mv.label, *carry]
+            s = gs.index(g) * d * d + c2
+        witnesses.append(word)
+    return witnesses, notes
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,13 @@ from gbsclass.classify import (
     _carry_arrays,
     _classes,
     _components,
-    _distances,
     _divisor_classes,
     _expectation,
     _key_rows,
+    _levels,
     _ordered_key,
     _row_key,
     _row_moves,
-    _walk,
     enumerate_pairs,
     enumerate_triples,
     expected_count,
@@ -209,15 +208,31 @@ def test_divisor_classes_match_the_state_graph(monkeypatch) -> None:
         assert sizes == np.bincount(inverse).tolist(), d
 
 
+def _walk(moves: list, dist: np.ndarray, step: np.ndarray, start: int) -> list[str] | None:
+    """The word from start along ``step``, None if no root is reachable.
+
+    A move's sources are ascending, so ``np.searchsorted`` finds its
+    arrow from a node.
+    """
+    if dist[start] < 0:
+        return None
+    word = []
+    while dist[start] > 0:
+        label, src, dst = moves[step[start]]
+        word.append(label)
+        start = dst[np.searchsorted(src, start)]
+    return word
+
+
 def test_pair_witnesses_match_the_state_graph() -> None:
-    """Each pair witness is the word walked on the graph's BFS distances.
+    """Each pair witness is the word walked on the graph's level scan.
 
     The walk starts at the largest state of each class in the graph.
     """
     for d in PAIR_GRAPH_DIMS:
         moves, class_roots, inverse = pair_graph(d)
-        dist = _distances(d * d, moves, class_roots)
-        want = _walk(moves, dist, last_states(inverse, class_roots.size))
+        dist, step = _levels(d * d, moves, class_roots)
+        want = [_walk(moves, dist, step, s) for s in last_states(inverse, class_roots.size)]
         got = [c.witness for c in enumerate_pairs(d, emit_witnesses=True).classes]
         assert got == want, d
 
@@ -464,8 +479,8 @@ def test_state_numbering(d: int) -> None:
 def test_moves_match_the_reference_numbering(d: int) -> None:
     """The int32 build gives the reference arrows, label by label.
 
-    Every move's arrows are int32, with ascending sources, which
-    :func:`_walk` relies on.
+    Every move's arrows are int32, with ascending sources, which the
+    test-side :func:`_walk` relies on.
     """
     got, want = triple_moves(d), _reference_moves(d)
     assert [label for label, _, _ in got] == [label for label, _, _ in want]
@@ -727,6 +742,32 @@ def test_d24_witnesses_replay_across_the_split_class() -> None:
     rep = _assert_triple_witnesses_replay(24)
     ci = [c.representative.to_text() for c in rep.classes].index(SPLIT_AT_24[0])
     assert rep.notes == [f"move graph splits class {ci + 1} into 2 components"]
+
+
+def test_d81_split_class_has_no_witness() -> None:
+    """At d = 81 = 3^4 the moves leave one class in two components, and
+    its last row triple is not in its root's component.
+
+    That class, rooted at {I, Z^3, X^27 Z^9}, gets no witness and one
+    note; every other witness replays from its class's last row triple to
+    the class root.  The caps refuse triples at d = 81, so the witnesses
+    are taken from the row graph directly.
+    """
+    d = 81
+    rows = _key_rows(d)
+    witnesses, notes = classify._triple_witnesses(d, rows)
+    assert rows.roots[100] == (3, 27 * d + 9)
+    assert notes == ["move graph splits class 101 into 2 components"]
+    last = {}
+    for g, index in rows.index.items():
+        for c2, ci in enumerate(index.tolist()):
+            last[ci] = (g, c2)
+    for ci, (witness, root) in enumerate(zip(witnesses, rows.roots)):
+        if ci == 100:
+            assert witness is None
+            continue
+        landed = apply_trace(_triple(d, *last[ci]), witness).normalized()
+        assert landed.to_text() == _triple(d, *root).normalized().to_text(), ci
 
 
 def test_row_graph_components_match_the_state_graph() -> None:

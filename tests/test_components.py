@@ -1,14 +1,14 @@
-"""Connected components and witnesses of move arrows, against references.
+"""Connected components and witness levels of move arrows, against references.
 
-Components are checked against a scalar union-find.  The witness layer,
-the frontier BFS of :func:`_distances` and the least-move walk of
-:func:`_walk`, is checked against a level scan that rescans every arrow
-of every move at every level and records per state the first arrow into
-the previous level (``nxt``) and its move index (``lab``): the distances
-must be equal, and the word walked from every state must be the one the
-scan's ``nxt`` and ``lab`` spell.  The walk's binary search needs each
-move's sources in ascending order, which is checked on the row graph the
-witnesses walk and on the test-side triple and pair graphs.
+Components are checked against a scalar union-find.  The witness layer's
+level scan, :func:`_levels`, is checked against a reference level scan
+that records per state the first arrow into the previous level (``nxt``)
+and its move index (``lab``): the distances must be equal, and so must
+``step`` and ``lab`` on every state a root is reachable from, the tables
+the witness words are walked from.  The test-side walk of the pair
+witnesses finds a move's arrow from a node by binary search, which needs
+each move's sources in ascending order; that is checked on the row graph
+the witnesses walk and on the test-side triple and pair graphs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from gbsclass.classify import _components, _distances, _row_moves, _walk
+from gbsclass.classify import _components, _levels, _row_moves
 
 from pair_graph import pair_graph
 from triple_graph import triple_graph
@@ -123,25 +123,14 @@ def _reference_witness_tables(n: int, moves: list, rep_slots) -> tuple:
         level += 1
 
 
-def _reference_walk(moves: list, tables: tuple, starts) -> list:
-    """The word from each start along the reference's ``nxt`` and ``lab``."""
-    dist, nxt, lab = (t.tolist() for t in tables)
-    words = [[] if dist[s] >= 0 else None for s in starts]
-    for s, word in zip(starts, words):
-        while word is not None and dist[s] > 0:
-            word.append(moves[lab[s]][0])
-            s = nxt[s]
-    return words
-
-
 def _check_witness_tables(n: int, moves: list, rep_slots) -> None:
-    """Distances equal the reference's, and so does the word from every state."""
-    dist = _distances(n, moves, np.asarray(rep_slots, dtype=np.int64))
-    want = _reference_witness_tables(n, moves, np.asarray(rep_slots, dtype=np.int64))
-    assert dist.shape == (n,)
-    assert np.array_equal(dist, want[0])
-    states = np.arange(n)
-    assert _walk(moves, dist, states) == _reference_walk(moves, want, states.tolist())
+    """Distances equal the reference's, and so do the step moves past level 0."""
+    roots = np.asarray(rep_slots, dtype=np.int64)
+    dist, step = _levels(n, moves, roots)
+    want_dist, _, want_lab = _reference_witness_tables(n, moves, roots)
+    assert dist.shape == step.shape == (n,)
+    assert np.array_equal(dist, want_dist)
+    assert np.array_equal(step[dist > 0], want_lab[dist > 0])
 
 
 def _partial_move(rng: random.Random, label: str, n: int, targets: list[int]) -> tuple:
@@ -168,9 +157,9 @@ def test_witness_tables_edge_cases() -> None:
     # unreachable states 4 and 5; 3 reaches the root through A and B, so A wins
     moves = [_move("A", [(1, 0), (3, 1)]), _move("B", [(2, 0), (3, 2), (4, 5)])]
     _check_witness_tables(6, moves, [0])
-    dist = _distances(6, moves, np.array([0]))
+    dist, step = _levels(6, moves, np.array([0]))
     assert dist.tolist() == [0, 1, 1, 2, -1, -1]
-    assert _walk(moves, dist, np.arange(6)) == [[], ["A"], ["B"], ["A", "A"], None, None]
+    assert step[1:4].tolist() == [0, 1, 0]
 
 
 @pytest.mark.parametrize("d", [8, 9, 16, 25])
@@ -187,8 +176,9 @@ def test_witness_tables_pairs(d: int) -> None:
 
 @pytest.mark.parametrize("d", [8, 9, 12, 16, 25, 27, 32])
 def test_move_sources_ascending(d: int) -> None:
-    """Each move has one arrow per source, in ascending order, which
-    :func:`_walk` relies on to find an arrow by binary search."""
+    """Each move has one arrow per source, in ascending order, which the
+    walk of ``test_pair_witnesses_match_the_state_graph`` relies on to
+    find an arrow by binary search."""
     for graph, moves in (("rows", _row_moves(d)), ("triples", triple_graph(d)[0]),
                          ("pairs", pair_graph(d)[0])):
         for label, src, _ in moves:

@@ -23,6 +23,11 @@ triple S at d = 8, 9, 12 and 16, in sorted order.  Each ``keys d sha256``
 line covers the key rows ``classify._key_rows(d)`` beyond the CLI caps,
 at d = 33..128, 256, 512 and 1024: the class roots, the orbit sizes and
 the bytes of every row's class index.  They take about 3 s together.
+Each ``witnesses d sha256`` line covers ``json.dumps([witnesses,
+notes])`` of ``classify._triple_witnesses(d, classify._key_rows(d))``
+beyond the CLI caps, at d = 33..70, 72, 80, 81, 96, 100, 108, 120, 121,
+125 and 128, including the classes the moves split and the ``None`` of
+a class whose start reaches no root.  They take about 2 s together.
 
 Run it against two trees and diff the output to check that a change
 keeps the contract byte-identical:
@@ -33,6 +38,7 @@ keeps the contract byte-identical:
 from __future__ import annotations
 
 import hashlib
+import json
 from itertools import combinations
 
 from click.testing import CliRunner
@@ -61,6 +67,7 @@ CLI_COMMANDS = [
 ]
 LOCATE_DIMS = (8, 9, 12, 16)
 KEY_DIMS = (*range(33, 129), 256, 512, 1024)
+WITNESS_DIMS = (*range(33, 71), 72, 80, 81, 96, 100, 108, 120, 121, 125, 128)
 
 
 def sha(text: str) -> str:
@@ -96,6 +103,13 @@ def key_rows_digest(d: int) -> str:
     return digest.hexdigest()
 
 
+def witness_digest(d: int) -> str:
+    """sha256 of the row-graph witnesses at d and the notes on split classes."""
+    digest = sha(json.dumps(classify._triple_witnesses(d, classify._key_rows(d))))
+    classify._key_rows.cache_clear()
+    return digest
+
+
 def main() -> None:
     run = {"triples": classify.enumerate_triples, "pairs": classify.enumerate_pairs}
     for mode, d in GRID:
@@ -117,6 +131,8 @@ def main() -> None:
         print("locate", d, sha(locate_text(d)), flush=True)
     for d in KEY_DIMS:
         print("keys", d, key_rows_digest(d), flush=True)
+    for d in WITNESS_DIMS:
+        print("witnesses", d, witness_digest(d), flush=True)
 
 
 if __name__ == "__main__":
