@@ -4,7 +4,6 @@ from .classify import (
     Classification,
     ClassReport,
     CountFormula,
-    DimensionTooLarge,
     OutOfDomain,
     enumerate_pairs,
     enumerate_triples,
@@ -14,6 +13,7 @@ from .classify import (
     locate_class,
     sign_flip_feasibility,
 )
+from .config import CapExceeded
 from .moves import (
     GuardFailed,
     Move,
@@ -39,12 +39,10 @@ from .pauli import (
 )
 from .residues import (
     BracketClass,
-    NonInvertible,
     bracket_class,
     bracket_partition,
     count_quadratic_check,
     factorize,
-    inv_mod,
     prime_power,
     solve_self_inverse,
 )

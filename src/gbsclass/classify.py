@@ -48,13 +48,12 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_ENUM_CAP
+from .config import DEFAULT_ENUM_CAP, CapExceeded
 from .moves import PreconditionViolated, Tables, enumerator_moves, tables
 from .pauli import GpmSet, InvariantVector, check_probe, invariant_table, invariant_vector
 from .residues import BRACKET, DOUBLE, bracket_partition, factorize, prime_power
@@ -77,10 +76,6 @@ INFEASIBLE = "INFEASIBLE"
 STATUS_VERIFIED = "VERIFIED"
 STATUS_VERIFIED_NO_FORMULA = "VERIFIED_NO_FORMULA"
 STATUS_PARTIAL = "PARTIAL"
-
-
-class DimensionTooLarge(ValueError):
-    """Requested dimension exceeds the enumeration cap."""
 
 
 class OutOfDomain(ValueError):
@@ -158,7 +153,8 @@ def expected_count(formula: CountFormula) -> int:
         (p,) = formula.params
         if p < 3 or not _is_prime(p):
             raise OutOfDomain(f"triple count at p^2 needs an odd prime, got {p}")
-        tail = math.floor(Fraction(p - 2, 6) + Fraction((-1) ** (p // 3) * p, 3))
+        # floor((p - 2) / 6 + (-1)^floor(p / 3) p / 3), in integers
+        tail = (p - 2 + 2 * (-1) ** (p // 3) * p) // 6
         return 5 * p * p // 6 + tail + 3
     if formula.kind == "TRIPLES_PALPHA":
         p, alpha = formula.params
@@ -167,15 +163,11 @@ def expected_count(formula: CountFormula) -> int:
                 f"triple count at p^alpha is only valid for p=2 and even "
                 f"alpha > 2, got p={p} alpha={alpha}"
             )
-        val = (
-            Fraction((3 * alpha + 19) * 2**alpha, 18)
-            + Fraction(alpha * alpha, 2)
-            - Fraction(7 * alpha, 4)
-            - Fraction(5, 9)
-        )
-        if val.denominator != 1:
+        # 36 times (3 alpha + 19) 2^alpha / 18 + alpha^2 / 2 - 7 alpha / 4 - 5 / 9
+        num = 2 * (3 * alpha + 19) * 2**alpha + 18 * alpha * alpha - 63 * alpha - 20
+        if num % 36:
             raise OutOfDomain(f"count formula is not integral at alpha={alpha}")
-        return int(val)
+        return num // 36
     raise OutOfDomain(f"unknown count formula {formula.kind!r}")
 
 
@@ -304,10 +296,10 @@ def _check_dim(d: int, mode: str, enum_cap: int) -> None:
         raise ValueError(f"need d >= 2, got {d}")
     cap = enum_cap * enum_cap if mode == "pairs" else enum_cap
     if d > cap:
-        raise DimensionTooLarge(f"{mode} enumeration capped at d <= {cap}, got {d}")
+        raise CapExceeded(f"{mode} enumeration capped at d <= {cap}, got {d}")
     states = d * d if mode == "pairs" else math.comb(d * d - 1, 2)
     if states > MAX_STATES:
-        raise DimensionTooLarge(
+        raise CapExceeded(
             f"{mode} enumeration capped at {MAX_STATES} states, got {states} at d={d}")
 
 
@@ -726,9 +718,17 @@ class Classification:
 
 
 def _full_profile(S: GpmSet) -> tuple:
-    """Every exact invariant of S: all three kinds, all powers, all shifts."""
-    every = range(1, S.d)
-    return tuple(invariant_table(S, every, every))
+    """All three invariants of S at every shift, at each proper divisor of d
+    as the power.
+
+    Inside one cell of equal default keys this separates exactly as the
+    profile at every power t in 1..d-1 does: the base I1 arguments and
+    the base I2 already agree there, the I1 arguments at t are fold(t*t*a)
+    over the base arguments a (the fold is even), and I2 and I3 at t are
+    those at the power gcd(t, d).
+    """
+    d = S.d
+    return tuple(invariant_table(S, [g for g in range(1, d) if d % g == 0], range(1, d)))
 
 
 def _invariant_cells(reps: list[GpmSet], ivs: list[InvariantVector]) -> list[list[int]]:
@@ -738,11 +738,12 @@ def _invariant_cells(reps: list[GpmSet], ivs: list[InvariantVector]) -> list[lis
     be too coarse: two inequivalent commuting triples may agree at every
     default shift yet differ at some other one.  Whenever default keys
     collide, the tied representatives are re-keyed by their full profile
-    (every invariant at every power and shift), which keeps the
+    (every invariant at every shift, at the tau(d) - 1 proper divisors of
+    d as powers, which stand for every power), which keeps the
     separation argument inside the exact-invariant family.  One profile
-    is one :func:`gbsclass.pauli.invariant_table` call, about 0.4 ms at
-    d = 32, where 12 of the 60 representatives collide.  Cells that stay
-    tied after the sweep are returned intact.
+    is one :func:`gbsclass.pauli.invariant_table` call; at d = 32, where
+    12 of the 60 representatives collide, the sweep takes about 3 ms.
+    Cells that stay tied after the sweep are returned intact.
     """
     coarse: dict[tuple, list[int]] = {}
     for ci, iv in enumerate(ivs):

@@ -6,7 +6,9 @@ set, and ``verify`` runs the dense-matrix verification suite.
 
 Exit codes: 0 on success (including fully verified classifications), 1
 when verification fails or a classification is only partial, 2 on usage
-errors, 3 when a resource cap refuses the request.
+errors, 3 when a resource cap refuses the request: every cap raises
+:class:`gbsclass.config.CapExceeded`, which the command group turns into
+exit 3 for all subcommands.
 """
 
 from __future__ import annotations
@@ -16,15 +18,9 @@ import sys
 
 import click
 
-from .classify import (
-    STATUS_PARTIAL,
-    DimensionTooLarge,
-    enumerate_pairs,
-    enumerate_triples,
-)
-from .config import FORMATS, Config, load_config
-from .oracle import CapExceeded, capped_prime_power, verification_suite
-from .pauli import GpmSet, PowerOutOfRange, TableTooLarge, invariant_vector
+from .classify import STATUS_PARTIAL, enumerate_pairs, enumerate_triples
+from .config import FORMATS, CapExceeded, Config, load_config
+from .pauli import GpmSet, PowerOutOfRange, invariant_vector
 from .residues import OutOfRange, factorize
 
 EXIT_FAIL = 1
@@ -57,9 +53,6 @@ def _classify(enumerate_, dim: int, fmt: str | None, emit_witnesses: bool) -> No
     _check_dim(dim)
     try:
         result = enumerate_(dim, emit_witnesses, cfg.enum_cap, cfg.i3_probes, cfg.power_probes)
-    except DimensionTooLarge as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
     except PowerOutOfRange as exc:
         raise click.UsageError(str(exc))
     _emit(result, fmt or cfg.format)
@@ -75,7 +68,18 @@ format_option = click.option(
 )
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a size cap hit in any subcommand exits 3."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except CapExceeded as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_RESOURCE)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Classify sets of maximally entangled Pauli basis states.
 
@@ -148,9 +152,6 @@ def invariants(dim: int, set_text: str, a_vals: tuple[int, ...],
             tuple(a_vals) or cfg.i3_probes,
             tuple(pow_vals) or cfg.power_probes,
         )
-    except TableTooLarge as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
     except (PowerOutOfRange, OutOfRange) as exc:
         raise click.UsageError(str(exc))
 
@@ -204,6 +205,8 @@ def verify(dim: int | None, pp: tuple[int, int] | None) -> None:
 
       gbsclass verify --dim 7
     """
+    from .oracle import capped_prime_power, verification_suite
+
     if (dim is None) == (pp is None):
         raise click.UsageError("pass exactly one of --dim or --prime-power")
     if pp is not None:
@@ -219,12 +222,8 @@ def verify(dim: int | None, pp: tuple[int, int] | None) -> None:
     else:
         assert dim is not None
         _check_dim(dim)
-    try:
-        d = dim if pp is None else capped_prime_power(p, alpha)
-        results = verification_suite(d)
-    except CapExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
+    d = dim if pp is None else capped_prime_power(p, alpha)
+    results = verification_suite(d)
     failures = 0
     for name, ok in results:
         click.echo(f"{'PASS' if ok else 'FAIL'}  {name}")

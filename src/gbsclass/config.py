@@ -9,6 +9,9 @@ comment).  Recognized keys:
     format      default output format: text, json or csv
     i3_a        comma-separated probe exponents for the third invariant
     powers      comma-separated power maps applied before re-probing
+
+Every size cap of the package, wherever it is checked, raises the one
+:class:`CapExceeded`; the CLI turns it into exit code 3.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ ENV_VAR = "GBSCLASS_CONFIG"
 FORMATS = ("text", "json", "csv")
 
 DEFAULT_ENUM_CAP = 32
+
+
+class CapExceeded(ValueError):
+    """A request is larger than a size cap admits: the enumeration caps,
+    the I2 entries of the invariant tables, or the dense-matrix cap."""
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import CapExceeded
 from .pauli import (
     Gpm,
     GpmSet,
@@ -35,10 +36,6 @@ MATRIX_CAP = 64
 
 TOL_EXACT = 1e-12
 TOL_PHASE = 1e-9
-
-
-class CapExceeded(ValueError):
-    """The requested dimension is above the dense-matrix cap."""
 
 
 def _check_cap(d: int) -> None:

@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import CapExceeded
 from .residues import factorize
 
 Vec = tuple[int, int]
@@ -52,10 +53,6 @@ class DimensionMismatch(ValueError):
 
 class PowerOutOfRange(ValueError):
     """Probe exponent outside the open interval (0, d)."""
-
-
-class TableTooLarge(ValueError):
-    """The invariant tables asked for exceed MAX_I2_ENTRIES."""
 
 
 @dataclass(frozen=True)
@@ -341,7 +338,7 @@ def invariant_vector(
 
     i2 is evaluated at every a in 1..d-1; i3 at the given probes (default
     per :func:`default_probes`); each power probe t contributes the
-    invariants of the powered set.  Raises TableTooLarge, before any
+    invariants of the powered set.  Raises CapExceeded, before any
     other work, when the i2 tables would exceed MAX_I2_ENTRIES; default
     power probes are counted as two, the most :func:`default_probes`
     gives.
@@ -349,7 +346,7 @@ def invariant_vector(
     d = S.d
     blocks = 1 + (2 if power_probes is None else len(power_probes))
     if (d - 1) * blocks > MAX_I2_ENTRIES:
-        raise TableTooLarge(
+        raise CapExceeded(
             f"{blocks} I2 tables of {d - 1} entries exceed the cap of "
             f"{MAX_I2_ENTRIES} entries")
     if i3_probes is None or power_probes is None:  # default_probes factorizes d

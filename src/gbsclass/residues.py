@@ -10,7 +10,6 @@ involution x -> 1 - 1/x, which controls when a bracket class collapses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 FACTOR_CAP = 10**6
 
@@ -18,22 +17,8 @@ BRACKET = "bracket"
 DOUBLE = "double"
 
 
-class NonInvertible(ValueError):
-    """Residue has no multiplicative inverse for the given modulus."""
-
-
 class OutOfRange(ValueError):
     """Argument falls outside the documented domain."""
-
-
-def inv_mod(x: int, d: int) -> int:
-    """Multiplicative inverse of x mod d; raises NonInvertible if gcd(x,d) != 1."""
-    if d < 1:
-        raise OutOfRange(f"modulus must be positive, got {d}")
-    x %= d
-    if gcd(x, d) != 1:
-        raise NonInvertible(f"{x} is not invertible mod {d}")
-    return pow(x, -1, d)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -88,8 +73,8 @@ def _maybe(vals: list[int], v: int | None) -> None:
 
 def _try_inv(x: int, d: int) -> int | None:
     try:
-        return inv_mod(x, d)
-    except NonInvertible:
+        return pow(x, -1, d)
+    except ValueError:
         return None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from gbsclass import classify
 from gbsclass.classify import (
     Classification,
-    DimensionTooLarge,
+    CapExceeded,
     OutOfDomain,
     CountFormula,
     _array_tables,
@@ -26,6 +27,7 @@ from gbsclass.classify import (
     _components,
     _divisor_classes,
     _expectation,
+    _invariant_cells,
     _key_rows,
     _levels,
     _ordered_key,
@@ -48,7 +50,7 @@ from gbsclass.moves import (
     tables,
 )
 from gbsclass.oracle import build_gpm_matrix
-from gbsclass.pauli import Gpm, GpmSet
+from gbsclass.pauli import Gpm, GpmSet, invariant_table, invariant_vector
 
 from pair_graph import pair_graph
 from triple_graph import last_states, pack, triple_graph, triple_moves, unpack
@@ -131,6 +133,23 @@ def test_triple_count_formulas() -> None:
             expected_count(CountFormula("TRIPLES_PALPHA", bad))
     with pytest.raises(OutOfDomain):
         expected_count(CountFormula("SOMETHING", (3,)))
+
+
+def test_integer_closed_forms_match_the_fraction_forms() -> None:
+    """The integer forms equal the closed forms as printed, in fractions."""
+    for p in range(3, 2000, 2):
+        if all(p % k for k in range(3, math.isqrt(p) + 1, 2)):
+            tail = math.floor(Fraction(p - 2, 6) + Fraction((-1) ** (p // 3) * p, 3))
+            assert expected_count(CountFormula("TRIPLES_P2", (p,))) == 5 * p * p // 6 + tail + 3
+    for alpha in range(4, 59, 2):
+        val = (Fraction((3 * alpha + 19) * 2**alpha, 18) + Fraction(alpha * alpha, 2)
+               - Fraction(7 * alpha, 4) - Fraction(5, 9))
+        formula = CountFormula("TRIPLES_PALPHA", (2, alpha))
+        if val.denominator == 1:
+            assert expected_count(formula) == val, alpha
+        else:
+            with pytest.raises(OutOfDomain, match=f"not integral at alpha={alpha}$"):
+                expected_count(formula)
 
 
 def test_formula_selection() -> None:
@@ -626,6 +645,39 @@ def test_invariant_twins_are_separated() -> None:
     assert locate_class(16, a) != locate_class(16, b)
 
 
+def _every_power_profile(S: GpmSet) -> tuple:
+    every = range(1, S.d)
+    return tuple(invariant_table(S, every, every))
+
+
+def test_divisor_power_profile_keeps_the_cells(monkeypatch) -> None:
+    """Profiles at the proper divisors of d split each default-key cell as
+    profiles at every power do, for pairs and triples at every d <= 32."""
+    for d in range(2, 33):
+        for codes in ([(c,) for c in _divisor_classes(d)[0].tolist()], _key_rows(d).roots):
+            reps = [GpmSet(d, ((0, 0), *(divmod(c, d) for c in cs))) for cs in codes]
+            ivs = [invariant_vector(S) for S in reps]
+            cells = _invariant_cells(reps, ivs)
+            with monkeypatch.context() as m:
+                m.setattr(classify, "_full_profile", _every_power_profile)
+                assert cells == _invariant_cells(reps, ivs), d
+
+
+def test_powered_invariants_depend_on_base_args_and_gcd() -> None:
+    """At power t the I1 arguments are fold(t*t*a) over the base arguments a,
+    and the I2 and I3 rows are those at power gcd(t, d)."""
+    rng = np.random.default_rng(30)
+    for d in (12, 16, 18, 24, 27, 30, 32):
+        for size in (2, 3, 4):
+            codes = rng.choice(np.arange(1, d * d), size - 1, replace=False).tolist()
+            S = GpmSet(d, ((0, 0), *(divmod(c, d) for c in codes)))
+            rows = _every_power_profile(S)
+            for t in range(1, d):
+                folded = sorted(min(t * t * a % d, -t * t * a % d) for a in rows[0][0])
+                assert list(rows[t - 1][0]) == folded, (d, codes, t)
+                assert rows[t - 1][1:] == rows[math.gcd(t, d) - 1][1:], (d, codes, t)
+
+
 def test_locate_class_agrees_with_enumeration() -> None:
     rep = enumerate_triples(9)
     for i, c in enumerate(rep.classes):
@@ -646,12 +698,12 @@ def test_locate_class_input_validation() -> None:
 
 
 def test_dimension_caps() -> None:
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(CapExceeded):
         enumerate_triples(33)
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(CapExceeded):
         enumerate_pairs(33 * 33)
     enumerate_pairs(40)  # pairs go quadratically higher
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(CapExceeded):
         enumerate_triples(11, enum_cap=10)
 
 

@@ -269,6 +269,19 @@ def test_states_cap_exits_before_allocating(tmp_path) -> None:
         assert peak < 2**20, peak
 
 
+def test_enumeration_table_cap_exits_3(tmp_path) -> None:
+    """The I2 cap hit while labelling pair classes is exit 3, not a traceback."""
+    cfg = tmp_path / "gbs.cfg"
+    cfg.write_text("enum_cap = 45\npowers = " + ",".join(map(str, range(1, 2000))) + "\n")
+    res = CliRunner().invoke(main, ["pairs", "--dim", "2000"],
+                             env={"GBSCLASS_CONFIG": str(cfg)})
+    assert res.exit_code == 3, res.output
+    assert res.stderr == (f"error: 2000 I2 tables of 1999 entries exceed the cap of "
+                          f"{MAX_I2_ENTRIES} entries\n")
+    assert res.stdout == ""
+    assert "Traceback" not in res.output
+
+
 def test_config_sets_default_format(tmp_path) -> None:
     cfg = tmp_path / "gbs.cfg"
     cfg.write_text("format = json\n# comment line\n")

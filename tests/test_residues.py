@@ -2,40 +2,19 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from gbsclass.residues import (
     BRACKET,
     DOUBLE,
-    NonInvertible,
     OutOfRange,
     bracket_class,
     bracket_partition,
     count_quadratic_check,
     factorize,
-    inv_mod,
     prime_power,
     solve_self_inverse,
 )
-
-
-def test_inv_mod_agrees_with_definition() -> None:
-    for d in range(2, 40):
-        for x in range(1, d):
-            if math.gcd(x, d) == 1:
-                assert (x * inv_mod(x, d)) % d == 1
-            else:
-                with pytest.raises(NonInvertible):
-                    inv_mod(x, d)
-
-
-def test_inv_mod_rejects_bad_modulus() -> None:
-    with pytest.raises(OutOfRange):
-        inv_mod(1, 0)
-    with pytest.raises(OutOfRange):
-        inv_mod(1, -5)
 
 
 def test_factorize_known_values() -> None:

@@ -28,6 +28,10 @@ notes])`` of ``classify._triple_witnesses(d, classify._key_rows(d))``
 beyond the CLI caps, at d = 33..70, 72, 80, 81, 96, 100, 108, 120, 121,
 125 and 128, including the classes the moves split and the ``None`` of
 a class whose start reaches no root.  They take about 2 s together.
+Each ``cells d sha256`` line covers the JSON of
+``classify._invariant_cells`` on the key-row representatives at the same
+d, with the default probes: the cells the collision sweep leaves.  They
+take about 2.5 s together.
 
 Run it against two trees and diff the output to check that a change
 keeps the contract byte-identical:
@@ -110,6 +114,15 @@ def witness_digest(d: int) -> str:
     return digest
 
 
+def cells_digest(d: int) -> str:
+    """sha256 of the invariant cells of the key-row representatives at d."""
+    reps = [GpmSet(d, ((0, 0), *(divmod(c, d) for c in cs)))
+            for cs in classify._key_rows(d).roots]
+    digest = sha(json.dumps(classify._invariant_cells(reps, [invariant_vector(S) for S in reps])))
+    classify._key_rows.cache_clear()
+    return digest
+
+
 def main() -> None:
     run = {"triples": classify.enumerate_triples, "pairs": classify.enumerate_pairs}
     for mode, d in GRID:
@@ -133,6 +146,8 @@ def main() -> None:
         print("keys", d, key_rows_digest(d), flush=True)
     for d in WITNESS_DIMS:
         print("witnesses", d, witness_digest(d), flush=True)
+    for d in WITNESS_DIMS:
+        print("cells", d, cells_digest(d), flush=True)
 
 
 if __name__ == "__main__":
