@@ -406,15 +406,18 @@ class KeyRows(NamedTuple):
     """The triple classes at d, read off the divisor rows.
 
     A class holds the triples of one key, the least :func:`_ordered_key`
-    over ``_RELABELLINGS``, taken for all ordered keys at once.  ``roots``
-    holds the codes (g, c2) of each class's least triple {identity, (0, g),
-    v2}, in ascending order; ``sizes`` the orbit sizes; ``index[g]`` the
-    int32 class index of each code v2 in row g, -1 where v2 is 0 or (0, g).
+    over ``_RELABELLINGS``, taken for all ordered keys at once.  ``gs``
+    holds the row divisors g < d of d, ascending.  Node r*d*d + c2 is the
+    triple {identity, (0, gs[r]), v2} with v2 of code c2, and ``klass``
+    holds each node's int32 class index, -1 where c2 is 0 or gs[r], which
+    is no triple.  ``roots`` holds the codes (g, c2) of each class's least
+    triple, in ascending order; ``sizes`` the orbit sizes.
     """
 
     roots: list[tuple[int, int]]
     sizes: list[int]
-    index: dict[int, np.ndarray]
+    gs: tuple[int, ...]
+    klass: np.ndarray
 
 
 @lru_cache(maxsize=16)
@@ -426,15 +429,16 @@ def _key_rows(d: int) -> KeyRows:
     made canonical in one vectorized step: the key is the least ordered
     key over the six orderings of the first triple that has it.  One
     ``np.unique`` over all rows numbers the keys.  A class's root is its
-    first triple in ascending (g, c2 > g) order, which is its least triple.
-    Each v1 of gcd g is carried to (0, g) by J_2(d/g) maps of SL(2, Z_d),
-    so the orbit size of a class is half the sum over rows of J_2(d/g)
-    times its count in row g.  Read-only, since it is cached.
+    first node with c2 > g, which is its least triple.  Each v1 of gcd g
+    is carried to (0, g) by J_2(d/g) maps of SL(2, Z_d), so the orbit
+    size of a class is half the sum over rows of J_2(d/g) times its count
+    in row g.  Read-only, since it is cached.
     """
-    rows = [(g, j) for g, j in _divisors(d) if g < d]
+    gs, js = zip(*_divisors(d)[:-1])  # every divisor but d
     x, z = np.divmod(np.arange(d * d), d)
-    least, labels = [], []  # per row: each ordered key's key; each code's ordered key
-    for g, _ in rows:
+    klass = np.empty((len(gs), d * d), dtype=np.int32)  # ordered keys, then labels, then classes
+    least = []  # per row: each ordered key's key
+    for g, row in zip(gs, klass):
         packed = _ordered_key(d, (0, g), (x, z))
         packed[[0, g]] = -1  # v2 = 0 or v2 = v1 is no triple
         ordered, first = np.unique(packed, return_index=True)
@@ -442,30 +446,23 @@ def _key_rows(d: int) -> KeyRows:
         least.append(np.min([
             _ordered_key(d, (b1 * x2, a1 * g + b1 * z2), (b2 * x2, a2 * g + b2 * z2))
             for (a1, b1), (a2, b2) in _RELABELLINGS], axis=0))
-        labels.append(np.searchsorted(ordered, packed).astype(np.int32))
+        row[:] = np.searchsorted(ordered, packed)
     canonical, label = np.unique(np.concatenate(least), return_inverse=True)
-    for keys, row in zip(np.split(label, np.cumsum([k.size for k in least])[:-1]), labels):
-        np.take(np.append(-1, keys), row, out=row)  # from ordered keys to labels
-
-    # each label's first code c2 > g in each row, d*d where it has none
-    first_c2 = np.full((len(rows), canonical.size), d * d)
-    for r, (g, _) in enumerate(rows):
-        np.minimum.at(first_c2[r], labels[r][g + 1:], np.arange(g + 1, d * d))
-    root_row = np.argmax(first_c2 < d * d, axis=0)
-    root_code = first_c2[root_row, np.arange(canonical.size)]
-    order = np.lexsort((root_code, root_row))
-    klass = np.full(canonical.size + 1, -1, dtype=np.int32)  # klass[-1]: no triple
-    klass[order] = np.arange(order.size, dtype=np.int32)
-
-    index: dict[int, np.ndarray] = {}
-    sizes = np.zeros(order.size, dtype=np.int64)
-    for (g, j), row in zip(rows, labels):
-        np.take(klass, row, out=row)
-        row.flags.writeable = False
-        index[g] = row
-        sizes += j * np.bincount(row[row >= 0], minlength=order.size)
-    roots = zip(root_row[order].tolist(), root_code[order].tolist())
-    return KeyRows([(rows[r][0], c2) for r, c2 in roots], (sizes // 2).tolist(), index)
+    root = np.full(canonical.size, klass.size)  # each label's first node with c2 > g
+    sizes = np.zeros(canonical.size, dtype=np.int64)
+    keys = np.split(label, np.cumsum([k.size for k in least])[:-1])
+    for r, (g, j, row) in enumerate(zip(gs, js, klass)):
+        np.take(np.append(-1, keys[r]), row, out=row)  # from ordered keys to labels
+        np.minimum.at(root, row[g + 1:], np.arange(r * d * d + g + 1, (r + 1) * d * d))
+        sizes += j * np.bincount(row[row >= 0], minlength=canonical.size)
+    order = np.argsort(root)
+    relabel = np.full(canonical.size + 1, -1, dtype=np.int32)  # relabel[-1]: no triple
+    relabel[order] = np.arange(order.size, dtype=np.int32)
+    for row in klass:
+        np.take(relabel, row, out=row)
+    klass.flags.writeable = False
+    roots = [(gs[node // (d * d)], node % (d * d)) for node in root[order].tolist()]
+    return KeyRows(roots, (sizes[order] // 2).tolist(), gs, klass.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -498,24 +495,19 @@ def _levels(n: int, moves: list[Arrows], roots: np.ndarray) -> tuple[np.ndarray,
 def _row_moves(d: int) -> list[Arrows]:
     """Every enumerator move as arrows on the row triples.
 
-    Node r*d*d + c2 is the triple {identity, (0, g), v2} of the r-th
-    divisor row g < d, in the order of :func:`_key_rows`, with v2 of code
-    c2; the codes 0 and g hold no triple and no arrow.  A move is
-    evaluated on the node's members in sorted order, as
-    :meth:`gbsclass.moves.Move.apply` does, on the nodes inside its guard;
-    the first member of the sorted image is carried to (0, g') by
-    :func:`_carry_arrays`, and the arrow lands on the node (g', c2') the
-    carry gives.  So each move gives at most one arrow per node.  A node
-    whose first member is (0, g) is its own carry, so an arrow that lands
-    on the triple of a class root, whose v2 sorts after (0, g), lands on
-    the root's node.
+    The nodes are those of :func:`_key_rows`; the codes 0 and g hold no
+    triple and no arrow.  A move is evaluated on the node's members in
+    sorted order, as :meth:`gbsclass.moves.Move.apply` does, on the nodes
+    inside its guard; the first member of the sorted image is carried to
+    (0, g') by :func:`_carry_arrays`, and the arrow lands on the node
+    (g', c2') the carry gives.  So each move gives at most one arrow per node.
+    A node whose first member is (0, g) is its own carry, so an arrow that
+    lands on the triple of a class root, whose v2 sorts after (0, g),
+    lands on the root's node.
     """
-    gs = np.array([g for g, _ in _divisors(d) if g < d])
-    row_of = np.zeros(d + 1, dtype=np.int64)
-    row_of[gs] = np.arange(gs.size)
-    node = np.arange(gs.size * d * d)
-    g, c2 = gs[node // (d * d)], node % (d * d)
-    node, g, c2 = (a[(c2 != 0) & (c2 != g)] for a in (node, g, c2))
+    rows = _key_rows(d)
+    node = np.flatnonzero(rows.klass >= 0)
+    g, c2 = np.array(rows.gs)[node // (d * d)], node % (d * d)
     first = c2 < g  # v2 sorts before (0, g)
     members = [(0, 0), (np.where(first, c2 // d, 0), np.where(first, c2 % d, g)),
                (np.where(first, 0, c2 // d), np.where(first, g, c2 % d))]
@@ -525,8 +517,17 @@ def _row_moves(d: int) -> list[Arrows]:
         keep = slice(None) if mv.guard is None else mv.guard(members)
         lo, hi = np.minimum(ca, cb)[keep], np.maximum(ca, cb)[keep]
         g2, c2_2 = _carry_arrays(d, np.divmod(lo, d), np.divmod(hi, d))
-        arrows.append(_arrows(mv.label, node[keep], row_of[g2] * d * d + c2_2))
+        arrows.append(_arrows(mv.label, node[keep], np.searchsorted(rows.gs, g2) * d * d + c2_2))
     return arrows
+
+
+def _witness_levels(d: int, rows: KeyRows, moves: list[Arrows]) -> tuple[np.ndarray, ...]:
+    """Each class's walk start, its last node; then :func:`_levels` from the class roots."""
+    node = np.flatnonzero(rows.klass >= 0)
+    starts = np.zeros(len(rows.roots), dtype=np.int64)
+    np.maximum.at(starts, rows.klass[node], node)
+    roots = np.array([rows.gs.index(g) * d * d + c2 for g, c2 in rows.roots])
+    return starts, *_levels(rows.klass.size, moves, roots)
 
 
 def _triple_witnesses(d: int, rows: KeyRows) -> tuple[list[list[str] | None], list[str]]:
@@ -543,18 +544,12 @@ def _triple_witnesses(d: int, rows: KeyRows) -> tuple[list[list[str] | None], li
     component reach the root.
     """
     moves = _row_moves(d)
-    klass = np.concatenate(list(rows.index.values()))
-    node = np.flatnonzero(klass >= 0)
-    C = len(rows.roots)
-    starts = np.zeros(C, dtype=np.int64)
-    np.maximum.at(starts, klass[node], node)
+    klass, gs, C = rows.klass, rows.gs, len(rows.roots)
     comp_class = klass[_classes(_components(klass.size, moves))[0]]
     notes = [f"move graph splits class {ci + 1} into {k} components"
              for ci, k in enumerate(np.bincount(comp_class[comp_class >= 0], minlength=C).tolist())
              if k > 1]
-    gs = list(rows.index)
-    dist, step = _levels(klass.size, moves,
-                         np.array([gs.index(g) * d * d + c2 for g, c2 in rows.roots]))
+    starts, dist, step = _witness_levels(d, rows, moves)
     by_index = enumerator_moves(d, tables(d))
     witnesses: list[list[str] | None] = []
     for s in starts.tolist():
@@ -576,23 +571,24 @@ def _triple_witnesses(d: int, rows: KeyRows) -> tuple[list[list[str] | None], li
 
 
 def _obstruction_scan(
-    d: int, p: int, alpha: int, index: dict[int, np.ndarray]
+    d: int, p: int, alpha: int, klass: np.ndarray
 ) -> Iterator[tuple[int, int, int, int, int, str]]:
     """Yield (class, partner class, s, t, t', verdict) for every sign-flip pattern.
 
     Only triples whose middle member is Z^(p^s) can match, so the scan
     walks those divisor rows alone: code M1 = p^s, and M2 from p^s + 1
-    to d^2 - 1, with the class indices of :func:`_key_rows`.
+    to d^2 - 1, with the class indices ``klass`` of :func:`_key_rows`,
+    whose s-th row is p^s.
     """
     vp = _array_tables(d).vp
-    for s in range(alpha):
+    for s, index in enumerate(klass.reshape(alpha, d * d)):
         ps = p**s
         M2 = np.arange(ps + 1, d * d)
         S2, T2 = M2 // d, M2 % d
         vpx = vp[S2]
         cand = np.flatnonzero((S2 != 0) & (vpx > s) & (vpx + s < alpha) & (T2 % ps == 0))
-        classes = index[ps][M2[cand]].tolist()
-        partners = index[ps][(-S2[cand] % d) * d + T2[cand]].tolist()
+        classes = index[M2[cand]].tolist()
+        partners = index[(-S2[cand] % d) * d + T2[cand]].tolist()
         for i, ci, cj in zip(cand.tolist(), classes, partners):
             t = int(vpx[i])
             m = p ** (t - s)
@@ -791,9 +787,11 @@ def _classify(
     (0, gcd(v, d)), and J_2(d/g) vectors have gcd g.  Triples take their
     classes from the key rows of :func:`_key_rows`; only their witnesses
     build the row graph of :func:`_row_moves`, after the caps and the
-    probes are checked.
+    probes are checked; the reports need at least one probe of each kind.
     """
     _check_dim(d, mode, enum_cap)
+    if any(probes is not None and not probes for probes in (i3_probes, power_probes)):
+        raise ValueError("need at least one I3 probe and one power probe")
     for a in (*(i3_probes or ()), *(power_probes or ())):
         check_probe(a, d)
     if mode == "pairs":
@@ -814,7 +812,7 @@ def _classify(
     pa = prime_power(d)
     if mode == "triples" and pa is not None and pa[1] >= 2:
         p, alpha = pa
-        for ci, cj, s, t, tp, verdict in _obstruction_scan(d, p, alpha, rows.index):
+        for ci, cj, s, t, tp, verdict in _obstruction_scan(d, p, alpha, rows.klass):
             if verdict == INFEASIBLE:
                 if ci == cj:
                     notes.add(
@@ -913,7 +911,8 @@ def locate_class(d: int, S: GpmSet, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     if not 0 < m1 < m2:
         raise ValueError(f"set {S.to_text()!r} is not a valid normalized triple")
     g, c2, _ = _carry(d, *members[1:])
-    return int(_key_rows(d).index[g][c2])
+    rows = _key_rows(d)
+    return int(rows.klass[rows.gs.index(g) * d * d + c2])
 
 
 def family_breakdown(d: int, enum_cap: int = DEFAULT_ENUM_CAP) -> dict[str, list[int]]:

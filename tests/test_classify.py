@@ -697,6 +697,14 @@ def test_locate_class_input_validation() -> None:
         locate_class(9, GpmSet(9, ((0, 0), (0, 0), (1, 0))))  # identity twice
 
 
+def test_empty_probes_are_refused() -> None:
+    """An empty probe tuple would leave the text and CSV reports no column."""
+    for run in (enumerate_triples, enumerate_pairs):
+        for i3_probes, power_probes in (((), ()), ((2,), ()), ((), (2,))):
+            with pytest.raises(ValueError, match="at least one"):
+                run(9, False, 32, i3_probes, power_probes)
+
+
 def test_dimension_caps() -> None:
     with pytest.raises(CapExceeded):
         enumerate_triples(33)
@@ -811,9 +819,8 @@ def test_d81_split_class_has_no_witness() -> None:
     assert rows.roots[100] == (3, 27 * d + 9)
     assert notes == ["move graph splits class 101 into 2 components"]
     last = {}
-    for g, index in rows.index.items():
-        for c2, ci in enumerate(index.tolist()):
-            last[ci] = (g, c2)
+    for node, ci in enumerate(rows.klass.tolist()):
+        last[ci] = (rows.gs[node // (d * d)], node % (d * d))
     for ci, (witness, root) in enumerate(zip(witnesses, rows.roots)):
         if ci == 100:
             assert witness is None
@@ -828,7 +835,7 @@ def test_row_graph_components_match_the_state_graph() -> None:
     d = 24 is the one dimension up to 32 where a class has two.
     """
     for d in range(2, 33):
-        klass = np.concatenate(list(_key_rows(d).index.values()))  # -1: no triple
+        klass = _key_rows(d).klass  # -1: no triple
         comp_class = klass[_classes(_components(klass.size, _row_moves(d)))[0]]
         got = np.bincount(comp_class[comp_class >= 0], minlength=TRIPLE_COUNTS[d])
         _, comp_roots, _ = triple_graph(d)
@@ -836,6 +843,20 @@ def test_row_graph_components_match_the_state_graph() -> None:
                             for r in zip(*unpack(d, comp_roots))], minlength=TRIPLE_COUNTS[d])
         assert got.tolist() == want.tolist(), d
         assert (got > 1).sum() == (d == 24), d
+
+
+def test_p_is_needed_for_witness_paths_not_for_merges(monkeypatch) -> None:
+    """Without P the row graph at d = 12 keeps its components, yet some
+    class's start no longer reaches its root, so P stays in the move list.
+    """
+    rows = _key_rows(12)
+    _, notes = classify._triple_witnesses(12, rows)
+    every_move = classify.enumerator_moves
+    monkeypatch.setattr(classify, "enumerator_moves",
+                        lambda d, tab: [mv for mv in every_move(d, tab) if mv.label != "P"])
+    witnesses, notes_without_p = classify._triple_witnesses(12, rows)
+    assert None in witnesses
+    assert notes_without_p == notes
 
 
 def test_row_graph_arrows_replay_move_and_carry() -> None:

@@ -22,7 +22,7 @@ the refusal of ``verify --dim 80`` (exit 3).  Each
 triple S at d = 8, 9, 12 and 16, in sorted order.  Each ``keys d sha256``
 line covers the key rows ``classify._key_rows(d)`` beyond the CLI caps,
 at d = 33..128, 256, 512 and 1024: the class roots, the orbit sizes and
-the bytes of every row's class index.  They take about 3 s together.
+the bytes of every row's class indices.  They take about 3 s together.
 Each ``witnesses d sha256`` line covers ``json.dumps([witnesses,
 notes])`` of ``classify._triple_witnesses(d, classify._key_rows(d))``
 beyond the CLI caps, at d = 33..70, 72, 80, 81, 96, 100, 108, 120, 121,
@@ -98,10 +98,10 @@ def locate_text(d: int) -> str:
 
 
 def key_rows_digest(d: int) -> str:
-    """sha256 of the key rows at d: roots, orbit sizes, and each row's index."""
+    """sha256 of the key rows at d: roots, orbit sizes, and each row's class indices."""
     rows = classify._key_rows(d)
     digest = hashlib.sha256(f"{rows.roots!r}\n{rows.sizes!r}\n".encode())
-    for g, index in rows.index.items():
+    for g, index in zip(rows.gs, rows.klass.reshape(len(rows.gs), d * d)):
         digest.update(f"{g}\n".encode() + index.tobytes())
     classify._key_rows.cache_clear()
     return digest.hexdigest()
